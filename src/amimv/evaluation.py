@@ -80,11 +80,9 @@ def extract_features(
     stats = dataset.channel_stats
     chunks = []
     for start in range(0, images.shape[0], batch_size):
-        stack = np.stack(
-            [normalize_view(im, stats, size).data for im in images[start : start + batch_size]]
-        )
+        views = normalize_view(images[start : start + batch_size], stats, size)
         with T.no_grad():
-            feats, _ = M.encode(pair.q_params, Tensor(stack, dtype=np.float32), pair.config)
+            feats, _ = M.encode(pair.q_params, views, pair.config)
         chunks.append(feats.data)
     return np.concatenate(chunks), labels.copy()
 
@@ -124,7 +122,7 @@ def linear_probe(
     w = Tensor(np.zeros((d, c), dtype=np.float32), requires_grad=True)
     b = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
     onehot_all = np.eye(c, dtype=np.float32)[train_labels]
-    opt = OptimState(kind="adamw", weight_decay=config.weight_decay)
+    opt = OptimState(weight_decay=config.weight_decay)
     rng = np.random.default_rng(np.random.PCG64(config.seed))
 
     for epoch in range(config.epochs):

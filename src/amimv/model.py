@@ -274,9 +274,15 @@ def load_checkpoint(directory: str) -> EncoderPair:
         projector_hidden=manifest["projector_hidden"],
         projector_out=manifest["projector_out"],
     )
+    entries = [{"name": n, "shape": list(shape)} for n, shape in param_specs(config)]
+    if manifest["dtype"] != "float32":
+        raise ValidationError(f"checkpoint dtype {manifest['dtype']!r} is not float32")
+    if manifest["params"] != entries:
+        raise ValidationError(
+            f"checkpoint params do not match the names and shapes of a {config.arch} encoder"
+        )
     with open(os.path.join(directory, "checkpoint.bin"), "rb") as fh:
         blob = fh.read()
-    entries = manifest["params"]
     sizes = [int(np.prod(e["shape"])) for e in entries]
     expected = 2 * 4 * sum(sizes)
     if len(blob) != expected:

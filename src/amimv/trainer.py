@@ -71,7 +71,6 @@ def lr_at(step: int, schedule: Schedule) -> float:
 
 @dataclass
 class OptimState:
-    kind: str  # sgd_momentum | adamw
     momentum: float = 0.9
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
@@ -154,11 +153,18 @@ class RunConfig:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.ema_placement not in ("before", "after"):
             raise ValidationError(f"ema_placement must be before/after, got {self.ema_placement!r}")
+        if self.epochs < 1:
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mode == "amimv" and self.batch_size < 2:
             raise ValidationError("amimv mode needs batch_size >= 2")
+        if not 0.0 <= self.ema_momentum <= 1.0:
+            raise ValidationError(f"ema_momentum {self.ema_momentum} outside [0,1]")
 
 
 _TUPLE_FIELDS = {"crop_scale"}
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def config_from_dict(data: dict, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -176,7 +182,9 @@ def config_from_dict(data: dict, overrides: dict[str, str] | None = None) -> Run
         target = getattr(defaults, key)
         if isinstance(value, str) and not isinstance(target, str):
             if isinstance(target, bool):
-                value = value.lower() in ("1", "true", "yes")
+                if value.lower() not in _BOOLEANS:
+                    raise ValidationError(f"{key}: expected true/false/yes/no/1/0, got {value!r}")
+                value = _BOOLEANS[value.lower()]
             elif isinstance(target, int):
                 value = int(value)
             elif isinstance(target, float):
@@ -247,9 +255,7 @@ def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainRes
     )
     pair = M.init_pair(enc_cfg, seed=config.seed, momentum=config.ema_momentum)
     loss_cfg = losses.LossConfig(tau=config.tau, fusion=config.fusion)
-    opt = OptimState(
-        kind="sgd_momentum", momentum=config.sgd_momentum, weight_decay=config.weight_decay
-    )
+    opt = OptimState(momentum=config.sgd_momentum, weight_decay=config.weight_decay)
     stream = RngStream(config.seed)
     images, _ = dataset.splits["train"]
     steps_per_epoch = images.shape[0] // config.batch_size
@@ -331,8 +337,9 @@ def _train_step(
         if config.ema_placement == "after":
             M.ema_update(pair)
     else:
-        va = _augment_batch(batch_images, stats, aug_cfg, stream, epoch, batch_index, branch=1)
-        vb = _augment_batch(batch_images, stats, aug_cfg, stream, epoch, batch_index, branch=2)
+        n = batch_images.shape[0]
+        va = augment_view(batch_images, stats, aug_cfg, stream.items(n, epoch, batch_index, 1))
+        vb = augment_view(batch_images, stats, aug_cfg, stream.items(n, epoch, batch_index, 2))
         with T.Tape() as tape:
             _, za = M.encode(pair.q_params, va, pair.config)
             _, zb = M.encode(pair.q_params, vb, pair.config)
@@ -340,11 +347,3 @@ def _train_step(
         T.backward(loss, tape)
         sgd_step(pair.q_params, opt, lr)
     return loss.item()
-
-
-def _augment_batch(images, stats, aug_cfg, stream, epoch, batch_index, branch) -> Tensor:
-    views = [
-        augment_view(images[i], stats, aug_cfg, stream.generator(epoch, batch_index, i, branch))
-        for i in range(images.shape[0])
-    ]
-    return Tensor(np.stack([v.data for v in views]), dtype=np.float32)

@@ -2,23 +2,26 @@
 
 Every image contributes two views: a deterministic z-score-normalized
 view, and a stochastically augmented view (color jitter, random resized
-crop, horizontal flip, Gaussian blur). Batches pair each anchor with a
+crop, horizontal flip, Gaussian blur). Views are built per batch: both
+pipelines take `[N,H,W]` or `[N,H,W,C]` uint8 images and return one
+`[N,C,S,S]` tensor. Only the per-image parameter draws run in a loop;
+the pixel work runs on the whole batch. Batches pair each anchor with a
 distinct counterpart image through a random derangement.
 
 All randomness flows through counter-based substreams keyed by
 (epoch, batch, item, transform), so results are independent of
-evaluation order.
+evaluation order and of how images are grouped into batches.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ContractError, ValidationError
 from .tensor import Tensor
 
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
@@ -78,27 +81,46 @@ class RngStream:
         words = struct.unpack("<2Q", digest)
         return np.random.Generator(np.random.Philox(key=words))
 
+    def items(self, n: int, epoch: int, batch: int, branch: int) -> list[np.random.Generator]:
+        """One generator per batch item, keyed (epoch, batch, item, branch)."""
+        return [self.generator(epoch, batch, i, branch) for i in range(n)]
+
 
 # ---------------------------------------------------------------------------
-# primitive image transforms (float arrays in [0,1], shape [H,W,C])
+# primitive transforms on batches of float images in [0,1], shape [N,H,W,C];
+# a factor is one scalar for all images or one per image, shaped [N,1,1,1]
 
 
-def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Half-pixel-center bilinear resampling; identity at equal sizes."""
-    h, w, _ = img.shape
-    if (h, w) == (out_h, out_w):
-        return img
-    ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
-    xs = (np.arange(out_w) + 0.5) * w / out_w - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    top = img[y0][:, x0] * (1 - wx) + img[y0][:, x1] * wx
-    bot = img[y1][:, x0] * (1 - wx) + img[y1][:, x1] * wx
-    return top * (1 - wy) + bot * wy
+def bilinear_resize(x: np.ndarray, boxes: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Resample box ``(top, left, height, width)`` of each image to
+    ``out_h x out_w`` with half-pixel-center bilinear weights; a whole-image
+    box at the same size is the identity."""
+
+    def taps(start, extent, out):
+        pos = (np.arange(out) + 0.5) * extent / out - 0.5
+        i0 = np.clip(np.floor(pos).astype(int), 0, extent - 1)
+        i1 = np.minimum(i0 + 1, extent - 1)
+        return start + i0, start + i1, np.clip(pos - i0, 0.0, 1.0)
+
+    top, left, h, w = np.asarray(boxes).T[:, :, None]
+    y0, y1, wy = taps(top, h, out_h)
+    x0, x1, wx = taps(left, w, out_w)
+    n = np.arange(x.shape[0])[:, None, None]
+    y0, y1, x0, x1 = y0[:, :, None], y1[:, :, None], x0[:, None], x1[:, None]
+    wy, wx = wy[:, :, None, None], wx[:, None, :, None]
+    upper = x[n, y0, x0] * (1 - wx) + x[n, y0, x1] * wx
+    lower = x[n, y1, x0] * (1 - wx) + x[n, y1, x1] * wx
+    return upper * (1 - wy) + lower * wy
+
+
+def gaussian_weights(sigma: float, k: int) -> np.ndarray:
+    """Normalized 1-D Gaussian weights over the k integer offsets around 0.
+    ``sigma`` is one Python float: its ``sigma**2`` (libm ``pow``) and a NumPy
+    array square round differently for about 1 value in 1000."""
+    r = k // 2
+    ax = np.arange(-r, r + 1, dtype=np.float64)
+    w = np.exp(-(ax**2) / (2.0 * sigma**2))
+    return w / w.sum()
 
 
 def gaussian_kernel(sigma: float, k: int) -> np.ndarray:
@@ -107,23 +129,20 @@ def gaussian_kernel(sigma: float, k: int) -> np.ndarray:
         raise ValidationError(f"kernel size must be odd, got {k}")
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    r = k // 2
-    ax = np.arange(-r, r + 1, dtype=np.float64)
-    one_d = np.exp(-(ax**2) / (2.0 * sigma**2))
-    kern = np.outer(one_d, one_d)
-    return kern / kern.sum()
+    w = gaussian_weights(sigma, k)
+    return np.outer(w, w)
 
 
-def gaussian_blur(img: np.ndarray, sigma: float, k: int) -> np.ndarray:
-    """Separable Gaussian blur with reflect padding."""
+def gaussian_blur(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Separable blur of each image with its own row of 1-D ``weights``
+    [N,k] from ``gaussian_weights``, with reflect padding."""
+    k = weights.shape[1]
     r = k // 2
-    ax = np.arange(-r, r + 1, dtype=np.float64)
-    w1 = np.exp(-(ax**2) / (2.0 * sigma**2))
-    w1 = w1 / w1.sum()
-    padded = np.pad(img, ((r, r), (0, 0), (0, 0)), mode="reflect")
-    out = sum(w1[i] * padded[i : i + img.shape[0]] for i in range(k))
-    padded = np.pad(out, ((0, 0), (r, r), (0, 0)), mode="reflect")
-    return sum(w1[i] * padded[:, i : i + img.shape[1]] for i in range(k))
+    w = weights[:, :, None, None, None]
+    padded = np.pad(x, ((0, 0), (r, r), (0, 0), (0, 0)), mode="reflect")
+    out = sum(w[:, i] * padded[:, i : i + x.shape[1]] for i in range(k))
+    padded = np.pad(out, ((0, 0), (0, 0), (r, r), (0, 0)), mode="reflect")
+    return sum(w[:, i] * padded[:, :, i : i + x.shape[2]] for i in range(k))
 
 
 def _rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
@@ -158,30 +177,28 @@ def _hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
     return np.take_along_axis(choices, i[None, ..., None], axis=0)[0]
 
 
-def adjust_brightness(img: np.ndarray, factor: float) -> np.ndarray:
+def adjust_brightness(img: np.ndarray, factor) -> np.ndarray:
     return np.clip(img * factor, 0.0, 1.0)
 
 
-def adjust_contrast(img: np.ndarray, factor: float) -> np.ndarray:
-    if img.shape[-1] == 3:
-        mean = float((img @ LUMA_WEIGHTS).mean())
-    else:
-        mean = float(img.mean())
+def adjust_contrast(img: np.ndarray, factor) -> np.ndarray:
+    gray = img @ LUMA_WEIGHTS if img.shape[-1] == 3 else img
+    mean = gray.reshape(len(img), -1).mean(axis=1)[:, None, None, None]
     return np.clip(mean + factor * (img - mean), 0.0, 1.0)
 
 
-def adjust_saturation(img: np.ndarray, factor: float) -> np.ndarray:
+def adjust_saturation(img: np.ndarray, factor) -> np.ndarray:
     if img.shape[-1] != 3:
         return img
     gray = (img @ LUMA_WEIGHTS)[..., None]
     return np.clip(gray + factor * (img - gray), 0.0, 1.0)
 
 
-def adjust_hue(img: np.ndarray, delta_turns: float) -> np.ndarray:
+def adjust_hue(img: np.ndarray, delta_turns) -> np.ndarray:
     if img.shape[-1] != 3:
         return img
     hsv = _rgb_to_hsv(img)
-    hsv[..., 0] = (hsv[..., 0] + delta_turns) % 1.0
+    hsv[..., :1] = (hsv[..., :1] + delta_turns) % 1.0
     return np.clip(_hsv_to_rgb(hsv), 0.0, 1.0)
 
 
@@ -189,24 +206,26 @@ def adjust_hue(img: np.ndarray, delta_turns: float) -> np.ndarray:
 # view pipelines
 
 
-def _to_float_hwc(image: np.ndarray) -> np.ndarray:
-    x = image.astype(np.float64) / 255.0
-    if x.ndim == 2:
-        x = x[..., None]
-    return x
+def _to_float_nhwc(images: np.ndarray) -> np.ndarray:
+    x = images.astype(np.float64) / 255.0
+    return x[..., None] if x.ndim == 3 else x
 
 
-def _standardize_chw(x_hwc: np.ndarray, stats) -> np.ndarray:
-    mean, std = stats
-    out = (x_hwc - np.asarray(mean)) / np.asarray(std)
-    return out.transpose(2, 0, 1)
+def _to_tensor(x: np.ndarray, stats) -> Tensor:
+    """[N,H,W,C] floats -> float32 [N,C,H,W], z-scored unless stats is None."""
+    if stats is not None:
+        mean, std = stats
+        x = (x - np.asarray(mean)) / np.asarray(std)
+    return Tensor(x.transpose(0, 3, 1, 2), dtype=np.float32)
 
 
-def normalize_view(image: np.ndarray, stats, output_size: int) -> Tensor:
+def normalize_view(images: np.ndarray, stats, size: int) -> Tensor:
     """Rescale to [0,1], resize, and z-score with train statistics."""
-    x = _to_float_hwc(image)
-    x = bilinear_resize(x, output_size, output_size)
-    return Tensor(_standardize_chw(x, stats), dtype=np.float32)
+    x = _to_float_nhwc(images)
+    n, h, w, _ = x.shape
+    if (h, w) != (size, size):
+        x = bilinear_resize(x, np.tile([0, 0, h, w], (n, 1)), size, size)
+    return _to_tensor(x, stats)
 
 
 def _sample_crop(rng: np.random.Generator, h: int, w: int, config: AugmentConfig):
@@ -227,49 +246,48 @@ def _sample_crop(rng: np.random.Generator, h: int, w: int, config: AugmentConfig
     return (h - side) // 2, (w - side) // 2, side, side
 
 
-def augment_view(image: np.ndarray, stats, config: AugmentConfig, rng: np.random.Generator) -> Tensor:
+def augment_view(images: np.ndarray, stats, config: AugmentConfig, rngs) -> Tensor:
     """Apply jitter, random resized crop, flip, and blur, then standardize.
 
-    Draws happen in a fixed order regardless of which transforms fire, so
-    one substream yields reproducible output.
+    ``rngs`` holds one generator per image. Each image draws its parameters
+    from its own generator in a fixed order regardless of which transforms
+    fire, so its view does not depend on the rest of the batch.
     """
-    x = _to_float_hwc(image)
+    x = _to_float_nhwc(images)
+    n, h, w, _ = x.shape
+    if len(rngs) != n:
+        raise ContractError(f"augment_view got {len(rngs)} generators for {n} images")
 
-    # 1. color jitter (all four sub-transforms, random order, gated by p)
-    apply_jitter = rng.uniform() < config.jitter_probability
-    fb = rng.uniform(1 - config.jitter_brightness, 1 + config.jitter_brightness)
-    fc = rng.uniform(1 - config.jitter_contrast, 1 + config.jitter_contrast)
-    fs = rng.uniform(1 - config.jitter_saturation, 1 + config.jitter_saturation)
-    fh = rng.uniform(-config.jitter_hue, config.jitter_hue)
-    order = rng.permutation(4)
-    if apply_jitter:
-        steps = [
-            lambda im: adjust_brightness(im, fb),
-            lambda im: adjust_contrast(im, fc),
-            lambda im: adjust_saturation(im, fs),
-            lambda im: adjust_hue(im, fh),
-        ]
-        for idx in order:
-            x = steps[idx](x)
+    def draw(rng):
+        jitter = rng.uniform() < config.jitter_probability
+        factors = (
+            rng.uniform(1 - config.jitter_brightness, 1 + config.jitter_brightness),
+            rng.uniform(1 - config.jitter_contrast, 1 + config.jitter_contrast),
+            rng.uniform(1 - config.jitter_saturation, 1 + config.jitter_saturation),
+            rng.uniform(-config.jitter_hue, config.jitter_hue),
+        )
+        order = rng.permutation(4)
+        box = _sample_crop(rng, h, w, config)
+        flip = rng.uniform() < config.flip_probability
+        weights = gaussian_weights(rng.uniform(*config.blur_sigma), config.blur_kernel)
+        return jitter, factors, order, box, flip, weights, rng.uniform() < config.blur_probability
 
-    # 2. random resized crop
-    top, left, ch, cw = _sample_crop(rng, x.shape[0], x.shape[1], config)
-    x = bilinear_resize(x[top : top + ch, left : left + cw], config.crop_output, config.crop_output)
+    jitter, factors, order, boxes, flip, weights, blur = map(np.array, zip(*map(draw, rngs)))
 
-    # 3. horizontal flip
-    if rng.uniform() < config.flip_probability:
-        x = x[:, ::-1]
+    # 1. color jitter: the four sub-transforms in each image's own order
+    steps = (adjust_brightness, adjust_contrast, adjust_saturation, adjust_hue)
+    for position in range(4):
+        for j, step in enumerate(steps):
+            sel = jitter & (order[:, position] == j)
+            if sel.any():
+                x[sel] = step(x[sel], factors[sel, j][:, None, None, None])
 
-    # 4. Gaussian blur
-    sigma = rng.uniform(*config.blur_sigma)
-    if rng.uniform() < config.blur_probability:
-        x = gaussian_blur(np.ascontiguousarray(x), sigma, config.blur_kernel)
-
-    if config.standardize_augmented:
-        chw = _standardize_chw(x, stats)
-    else:
-        chw = np.ascontiguousarray(x).transpose(2, 0, 1)
-    return Tensor(chw, dtype=np.float32)
+    # 2. random resized crop, 3. horizontal flip, 4. Gaussian blur
+    x = bilinear_resize(x, boxes, config.crop_output, config.crop_output)
+    x[flip] = x[flip, :, ::-1]
+    if blur.any():
+        x[blur] = gaussian_blur(x[blur], weights[blur])
+    return _to_tensor(x, stats if config.standardize_augmented else None)
 
 
 def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -295,17 +313,7 @@ def build_amimv_batch(
     if n < 2:
         raise ValidationError(f"an AMIMV batch needs >= 2 images, got {n}")
     pairing = random_derangement(n, rng.generator(epoch, batch, -1, 0))
-    size = config.crop_output
-
-    v1n = [normalize_view(images[i], stats, size) for i in range(n)]
-    v1a = [augment_view(images[i], stats, config, rng.generator(epoch, batch, i, 1)) for i in range(n)]
-    v2n = [normalize_view(images[pairing[i]], stats, size) for i in range(n)]
-    v2a = [
-        augment_view(images[pairing[i]], stats, config, rng.generator(epoch, batch, i, 2))
-        for i in range(n)
-    ]
-
-    def stack(tensors):
-        return Tensor(np.stack([t.data for t in tensors]), dtype=np.float32)
-
-    return AMIMVBatch(v1n=stack(v1n), v1a=stack(v1a), v2n=stack(v2n), v2a=stack(v2a), pairing=pairing)
+    v1n = normalize_view(images, stats, config.crop_output)
+    v1a = augment_view(images, stats, config, rng.items(n, epoch, batch, 1))
+    v2a = augment_view(images[pairing], stats, config, rng.items(n, epoch, batch, 2))
+    return AMIMVBatch(v1n=v1n, v1a=v1a, v2n=Tensor(v1n.data[pairing]), v2a=v2a, pairing=pairing)

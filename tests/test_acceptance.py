@@ -228,11 +228,7 @@ def _representation_quality(pair, dataset):
     aug = TR.augment_config_for(config, 28)
 
     def view_batch(branch):
-        views = [
-            augment_view(images[i], stats, aug, stream.generator(0, 0, i, branch))
-            for i in range(images.shape[0])
-        ]
-        return Tensor(np.stack([v.data for v in views]), dtype=np.float32)
+        return augment_view(images, stats, aug, stream.items(images.shape[0], 0, 0, branch))
 
     with T.no_grad():
         fa, _ = M.encode(pair.q_params, view_batch(1), pair.config)

@@ -64,6 +64,24 @@ class TestPretrain:
         assert code == 0
         assert json.loads((out / "run.json").read_text())["epochs"] == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--epochs", "0"],
+            ["--mode", "simclr_baseline", "--batch_size", "0"],
+            ["--ema_momentum", "1.5"],
+            ["--ema_momentum", "-0.1"],
+            ["--standardize_augmented", "flase"],
+        ],
+    )
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "run"
+        code = main(["pretrain", "--out", str(out), "--dataset", SMALL_SYNTH, *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AMIMV_SEED", "7")
         out = tmp_path / "run"
@@ -115,6 +133,27 @@ class TestProbe:
         cfg = M.EncoderConfig(arch="tiny", input_channels=3, input_size=16)
         M.save_checkpoint(M.init_pair(cfg, seed=0), str(tmp_path))
         assert main(["probe", str(tmp_path), SMALL_SYNTH]) == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.update(arch="small_residual"),
+            lambda m: m["params"][0].update(shape=[8, 1, 5, 5]),
+            lambda m: m.update(dtype="float64"),
+        ],
+        ids=["arch", "shape", "dtype"],
+    )
+    def test_mismatched_manifest_exit_2(self, tmp_path, capsys, edit):
+        from amimv import model as M
+
+        cfg = M.EncoderConfig(arch="tiny", input_channels=1, input_size=16)
+        M.save_checkpoint(M.init_pair(cfg, seed=0), str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        edit(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["probe", str(tmp_path), SMALL_SYNTH]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "eval.json").exists()
 
     def test_missing_checkpoint_exit_2(self, tmp_path):
         code = main(["probe", str(tmp_path / "absent"), SMALL_SYNTH])

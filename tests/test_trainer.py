@@ -59,19 +59,19 @@ class TestSgdStep:
     def test_zero_grad_no_change(self):
         params = one_param(1.5)
         params["p"].grad = None
-        TR.sgd_step(params, TR.OptimState(kind="sgd_momentum"), lr=0.1)
+        TR.sgd_step(params, TR.OptimState(), lr=0.1)
         assert params["p"].data[0] == np.float32(1.5)
 
     def test_plain_step(self):
         params = one_param(1.0)
         params["p"].grad = np.array([1.0], dtype=np.float32)
-        TR.sgd_step(params, TR.OptimState(kind="sgd_momentum", momentum=0.0), lr=0.1)
+        TR.sgd_step(params, TR.OptimState(momentum=0.0), lr=0.1)
         assert params["p"].data[0] == pytest.approx(0.9)
 
     def test_momentum_recurrence(self):
         # hand-rolled: v1=1, p=-0.1; v2=0.9+1=1.9, p=-0.1-0.19=-0.29
         params = one_param(0.0)
-        state = TR.OptimState(kind="sgd_momentum", momentum=0.9)
+        state = TR.OptimState(momentum=0.9)
         for _ in range(2):
             params["p"].grad = np.array([1.0], dtype=np.float32)
             TR.sgd_step(params, state, lr=0.1)
@@ -81,20 +81,20 @@ class TestSgdStep:
 class TestAdamwStep:
     def test_zero_grad_no_change(self):
         params = one_param(2.0)
-        TR.adamw_step(params, TR.OptimState(kind="adamw"), lr=0.01)
+        TR.adamw_step(params, TR.OptimState(), lr=0.01)
         assert params["p"].data[0] == np.float32(2.0)
 
     def test_first_step_close_to_lr(self):
         params = one_param(1.0)
         params["p"].grad = np.array([1.0], dtype=np.float32)
-        TR.adamw_step(params, TR.OptimState(kind="adamw"), lr=0.01)
+        TR.adamw_step(params, TR.OptimState(), lr=0.01)
         # bias-corrected ratio is ~1 on the first step
         assert params["p"].data[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
     def test_decoupled_decay_only(self):
         params = one_param(1.0)
         params["p"].grad = np.array([0.0], dtype=np.float32)
-        TR.adamw_step(params, TR.OptimState(kind="adamw", weight_decay=0.1), lr=0.5)
+        TR.adamw_step(params, TR.OptimState(weight_decay=0.1), lr=0.5)
         assert params["p"].data[0] == pytest.approx(1.0 * (1 - 0.5 * 0.1), abs=1e-6)
 
 
@@ -110,6 +110,19 @@ class TestConfig:
     def test_amimv_needs_two(self):
         with pytest.raises(ValidationError):
             TR.config_from_dict({"batch_size": 1})
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)],
+    )
+    def test_boolean_spellings(self, raw, value):
+        cfg = TR.config_from_dict({}, {"standardize_augmented": raw})
+        assert cfg.standardize_augmented is value
+
+    @pytest.mark.parametrize("raw", ["flase", "", "on", "2"])
+    def test_boolean_typo_rejected(self, raw):
+        with pytest.raises(ValidationError, match="standardize_augmented"):
+            TR.config_from_dict({}, {"standardize_augmented": raw})
 
 
 def tiny_run_config(tmp_path, **kw):

@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amimv import views as V
-from amimv.errors import ValidationError
+from amimv.errors import ContractError, ValidationError
 
 
 GRAY_STATS = (np.array([0.5]), np.array([0.25]))
 
 
 def gray_image(size=16, value=None, seed=0):
+    """A batch of one grayscale image, [1,size,size] uint8."""
     if value is not None:
-        return np.full((size, size), value, dtype=np.uint8)
-    return np.random.default_rng(seed).integers(0, 256, size=(size, size), dtype=np.uint8)
+        return np.full((1, size, size), value, dtype=np.uint8)
+    return np.random.default_rng(seed).integers(0, 256, size=(1, size, size), dtype=np.uint8)
 
 
 def identity_config(size):
@@ -36,7 +37,7 @@ class TestNormalizeView:
         np.testing.assert_allclose(out.data, 0.0, atol=1e-3)
 
     def test_pixel_arithmetic(self):
-        img = np.full((8, 8), 191, dtype=np.uint8)  # 191/255 ~ 0.749
+        img = np.full((1, 8, 8), 191, dtype=np.uint8)  # 191/255 ~ 0.749
         out = V.normalize_view(img, GRAY_STATS, 8)
         np.testing.assert_allclose(out.data, (191 / 255 - 0.5) / 0.25, atol=1e-6)
 
@@ -46,12 +47,12 @@ class TestNormalizeView:
         images = rng.integers(0, 256, size=(64, 12, 12), dtype=np.uint8)
         x = images.astype(np.float64) / 255.0
         stats = (np.array([x.mean()]), np.array([x.std()]))
-        outs = np.stack([V.normalize_view(im, stats, 12).data for im in images])
+        outs = V.normalize_view(images, stats, 12).data
         assert abs(outs.mean()) < 1e-3
         assert abs(outs.std() - 1.0) < 1e-2
 
     def test_shape_chw(self):
-        out = V.normalize_view(gray_image(16), GRAY_STATS, 10)
+        out = V.normalize_view(gray_image(16), GRAY_STATS, 10).data[0]
         assert out.shape == (1, 10, 10)
 
 
@@ -78,8 +79,8 @@ class TestAugmentView:
     def test_identity_configuration(self):
         img = gray_image(16, seed=3)
         cfg = identity_config(16)
-        rng = V.RngStream(0).generator(0, 0, 0, 1)
-        out = V.augment_view(img, GRAY_STATS, cfg, rng)
+        rngs = V.RngStream(0).items(1, 0, 0, 1)
+        out = V.augment_view(img, GRAY_STATS, cfg, rngs)
         expected = V.normalize_view(img, GRAY_STATS, 16)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-6)
 
@@ -87,16 +88,16 @@ class TestAugmentView:
         img = gray_image(16, seed=4)
         cfg = V.AugmentConfig(crop_output=16)
         stream = V.RngStream(42)
-        a = V.augment_view(img, GRAY_STATS, cfg, stream.generator(1, 2, 3, 1))
-        b = V.augment_view(img, GRAY_STATS, cfg, stream.generator(1, 2, 3, 1))
+        a = V.augment_view(img, GRAY_STATS, cfg, [stream.generator(1, 2, 3, 1)])
+        b = V.augment_view(img, GRAY_STATS, cfg, [stream.generator(1, 2, 3, 1)])
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_different_keys_differ(self):
         img = gray_image(16, seed=4)
         cfg = V.AugmentConfig(crop_output=16)
         stream = V.RngStream(42)
-        a = V.augment_view(img, GRAY_STATS, cfg, stream.generator(1, 2, 3, 1))
-        b = V.augment_view(img, GRAY_STATS, cfg, stream.generator(1, 2, 4, 1))
+        a = V.augment_view(img, GRAY_STATS, cfg, [stream.generator(1, 2, 3, 1)])
+        b = V.augment_view(img, GRAY_STATS, cfg, [stream.generator(1, 2, 4, 1)])
         assert not np.array_equal(a.data, b.data)
 
     def test_double_flip_is_identity(self):
@@ -106,15 +107,45 @@ class TestAugmentView:
         base = identity_config(16)
         flipped_cfg = V.AugmentConfig(**{**base.__dict__, "flip_probability": 1.0})
         rng = V.RngStream(7)
-        out_plain = V.augment_view(img, GRAY_STATS, base, rng.generator(0, 0, 0, 1))
-        out_flip = V.augment_view(img, GRAY_STATS, flipped_cfg, rng.generator(0, 0, 0, 1))
-        np.testing.assert_allclose(out_flip.data[:, :, ::-1], out_plain.data, atol=1e-6)
+        out_plain = V.augment_view(img, GRAY_STATS, base, rng.items(1, 0, 0, 1))
+        out_flip = V.augment_view(img, GRAY_STATS, flipped_cfg, rng.items(1, 0, 0, 1))
+        np.testing.assert_allclose(out_flip.data[..., ::-1], out_plain.data, atol=1e-6)
 
     def test_output_shape_matches_config(self):
         img = gray_image(28, seed=6)
         cfg = V.AugmentConfig(crop_output=20)
-        out = V.augment_view(img, GRAY_STATS, cfg, V.RngStream(0).generator(0, 0, 0, 1))
+        out = V.augment_view(img, GRAY_STATS, cfg, V.RngStream(0).items(1, 0, 0, 1)).data[0]
         assert out.shape == (1, 20, 20)
+
+    def test_generator_count_must_match_batch(self):
+        cfg = V.AugmentConfig(crop_output=16)
+        images = np.zeros((2, 16, 16), np.uint8)
+        with pytest.raises(ContractError):
+            V.augment_view(images, GRAY_STATS, cfg, V.RngStream(0).items(1, 0, 0, 1))
+
+    @given(
+        n=st.integers(1, 6),
+        channels=st.sampled_from([1, 3]),
+        probs=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_rows_match_single_image_calls(self, n, channels, probs, seed):
+        # each image's view depends only on its own generator, not on the batch
+        rng = np.random.default_rng(seed)
+        shape = (n, 12, 12) if channels == 1 else (n, 12, 12, 3)
+        images = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        stats = (np.full(channels, 0.5), np.full(channels, 0.25))
+        cfg = V.AugmentConfig(
+            crop_output=10, jitter_probability=probs[0], flip_probability=probs[1],
+            blur_probability=probs[2], jitter_saturation=0.5, jitter_hue=0.2,
+        )
+        stream = V.RngStream(seed)
+        batch = V.augment_view(images, stats, cfg, stream.items(n, 0, 0, 1)).data
+        assert batch.shape == (n, channels, 10, 10)
+        for i, item_rng in enumerate(stream.items(n, 0, 0, 1)):
+            single = V.augment_view(images[i : i + 1], stats, cfg, [item_rng]).data
+            assert batch[i : i + 1].tobytes() == single.tobytes()
 
     def test_grayscale_hue_saturation_noop(self):
         img = (gray_image(12, seed=8).astype(np.float64) / 255.0)[..., None]
@@ -125,7 +156,7 @@ class TestAugmentView:
 class TestColorJitterPrimitives:
     def test_zero_magnitude_identity(self):
         rng = np.random.default_rng(0)
-        img = rng.uniform(0.05, 0.95, size=(8, 8, 3))
+        img = rng.uniform(0.05, 0.95, size=(1, 8, 8, 3))
         np.testing.assert_allclose(V.adjust_brightness(img, 1.0), img, atol=1e-6)
         np.testing.assert_allclose(V.adjust_contrast(img, 1.0), img, atol=1e-6)
         np.testing.assert_allclose(V.adjust_saturation(img, 1.0), img, atol=1e-6)
@@ -141,12 +172,12 @@ class TestColorJitterPrimitives:
 class TestResize:
     def test_identity_same_size(self):
         rng = np.random.default_rng(2)
-        img = rng.uniform(0, 1, size=(9, 9, 1))
-        np.testing.assert_array_equal(V.bilinear_resize(img, 9, 9), img)
+        img = rng.uniform(0, 1, size=(1, 9, 9, 1))
+        np.testing.assert_array_equal(V.bilinear_resize(img, [[0, 0, 9, 9]], 9, 9), img)
 
     def test_constant_preserved(self):
-        img = np.full((8, 8, 1), 0.37)
-        np.testing.assert_allclose(V.bilinear_resize(img, 13, 5), 0.37, atol=1e-12)
+        img = np.full((1, 8, 8, 1), 0.37)
+        np.testing.assert_allclose(V.bilinear_resize(img, [[0, 0, 8, 8]], 13, 5), 0.37, atol=1e-12)
 
 
 class TestBatch:
@@ -177,9 +208,9 @@ class TestBatch:
         imgs = self._images(4)
         cfg = identity_config(12)
         batch = V.build_amimv_batch(imgs, GRAY_STATS, cfg, V.RngStream(1))
+        expected = V.normalize_view(imgs[batch.pairing], GRAY_STATS, 12)
         for i in range(4):
-            expected = V.normalize_view(imgs[batch.pairing[i]], GRAY_STATS, 12)
-            np.testing.assert_allclose(batch.v2n.data[i], expected.data, atol=1e-6)
+            np.testing.assert_allclose(batch.v2n.data[i], expected.data[i], atol=1e-6)
 
     def test_singleton_batch_rejected(self):
         with pytest.raises(ValidationError):
