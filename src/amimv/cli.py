@@ -30,9 +30,16 @@ EXIT_NUMERIC = 4
 
 
 def _env_seed(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    return int(os.environ.get("AMIMV_SEED", "0"))
+    seed = explicit
+    if seed is None:
+        raw = os.environ.get("AMIMV_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValidationError(f"AMIMV_SEED must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _fail(code: int, message: str) -> int:
@@ -121,8 +128,9 @@ def cmd_pretrain(args: argparse.Namespace, extra: list[str]) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     try:
+        seed = _env_seed(args.seed)
         pair = M.load_checkpoint(args.run_dir)
-        dataset = resolve_dataset(args.dataset, seed=_env_seed(args.seed))
+        dataset = resolve_dataset(args.dataset, seed=seed)
     except (AmimvError, OSError, json.JSONDecodeError, KeyError) as exc:
         return _fail(EXIT_INPUT, str(exc))
     if pair.config.input_channels != dataset.channels:
@@ -134,7 +142,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     try:
         train_x, train_y = E.extract_features(pair, dataset, "train")
         test_x, test_y = E.extract_features(pair, dataset, "test")
-        probe_cfg = E.ProbeConfig(epochs=args.epochs, seed=_env_seed(args.seed))
+        probe_cfg = E.ProbeConfig(epochs=args.epochs, seed=seed)
         probe = E.linear_probe(train_x, train_y, probe_cfg, num_classes=dataset.num_classes)
         report = E.classification_metrics(probe.scores(test_x), test_y)
     except NumericError as exc:

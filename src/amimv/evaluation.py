@@ -98,7 +98,7 @@ class ProbeResult:
     missing_classes: list[int] = field(default_factory=list)
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights + self.bias
+        return T.linear(Tensor(features), Tensor(self.weights), Tensor(self.bias)).data
 
 
 def _probe_lr(epoch: int, total: int, base: float) -> float:
@@ -133,7 +133,7 @@ def linear_probe(
             xb = Tensor(x[idx])
             yb = Tensor(onehot_all[idx])
             with T.Tape() as tape:
-                logits = T.add(T.matmul(xb, w), T.reshape(b, (1, c)))
+                logits = T.linear(xb, w, b)
                 nll = T.sub(T.logsumexp(logits), T.sum_(T.mul(logits, yb), axis=1))
                 loss = T.mean(nll)
             T.backward(loss, tape)

@@ -9,6 +9,7 @@ is a gradient-free copy of the query encoder, updated by EMA.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -153,48 +154,28 @@ def init_pair(config: EncoderConfig, seed: int, momentum: float = 0.99) -> Encod
 # forward pass
 
 
-def _group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
-    n, c, h, w = x.shape
-    g = min(groups, c)
-    while c % g:
-        g -= 1
-    xg = T.reshape(x, (n, g, (c // g) * h * w))
-    mu = T.mean(xg, axis=2, keepdims=True)
-    centered = T.sub(xg, mu)
-    var = T.mean(T.mul(centered, centered), axis=2, keepdims=True)
-    normed = T.div(centered, T.sqrt(T.add_scalar(var, GN_EPS)))
-    normed = T.reshape(normed, (n, c, h, w))
-    gamma4 = T.reshape(gamma, (1, c, 1, 1))
-    beta4 = T.reshape(beta, (1, c, 1, 1))
-    return T.add(T.mul(normed, gamma4), beta4)
+def _group_norm(x: Tensor, p: dict, prefix: str) -> Tensor:
+    return T.group_norm(x, p[f"{prefix}.gamma"], p[f"{prefix}.beta"], GN_GROUPS, GN_EPS)
 
 
 def _conv_block(x: Tensor, p: dict, prefix: str) -> Tensor:
-    out = T.conv2d(x, p[f"{prefix}.w"], stride=1, padding=1)
-    bias = T.reshape(p[f"{prefix}.b"], (1, out.shape[1], 1, 1))
-    return T.add(out, bias)
-
-
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return T.add(T.matmul(x, w), T.reshape(b, (1, b.shape[0])))
+    return T.conv2d(x, p[f"{prefix}.w"], stride=1, padding=1, bias=p[f"{prefix}.b"])
 
 
 def _encode_tiny(p: dict, x: Tensor) -> Tensor:
     h = _conv_block(x, p, "conv1")
-    h = T.relu(_group_norm(h, p["gn1.gamma"], p["gn1.beta"], GN_GROUPS))
-    h = T.avg_pool2d(h, 2)
+    h = T.avg_pool2d(T.relu(_group_norm(h, p, "gn1")), 2)
     h = _conv_block(h, p, "conv2")
-    h = T.relu(_group_norm(h, p["gn2.gamma"], p["gn2.beta"], GN_GROUPS))
-    h = T.avg_pool2d(h, 2)
+    h = T.avg_pool2d(T.relu(_group_norm(h, p, "gn2")), 2)
     flat = T.reshape(h, (h.shape[0], h.shape[1] * h.shape[2] * h.shape[3]))
-    return _linear(flat, p["feat.w"], p["feat.b"])
+    return T.linear(flat, p["feat.w"], p["feat.b"])
 
 
 def _residual_block(p: dict, x: Tensor, prefix: str) -> Tensor:
     h = _conv_block(x, p, f"{prefix}.conv1")
-    h = T.relu(_group_norm(h, p[f"{prefix}.gn1.gamma"], p[f"{prefix}.gn1.beta"], GN_GROUPS))
+    h = T.relu(_group_norm(h, p, f"{prefix}.gn1"))
     h = _conv_block(h, p, f"{prefix}.conv2")
-    h = _group_norm(h, p[f"{prefix}.gn2.gamma"], p[f"{prefix}.gn2.beta"], GN_GROUPS)
+    h = _group_norm(h, p, f"{prefix}.gn2")
     skip = x
     if f"{prefix}.skip.w" in p:
         skip = T.conv2d(x, p[f"{prefix}.skip.w"], stride=1, padding=0)
@@ -203,12 +184,12 @@ def _residual_block(p: dict, x: Tensor, prefix: str) -> Tensor:
 
 def _encode_small_residual(p: dict, x: Tensor) -> Tensor:
     h = _conv_block(x, p, "stem")
-    h = T.relu(_group_norm(h, p["stem_gn.gamma"], p["stem_gn.beta"], GN_GROUPS))
+    h = T.relu(_group_norm(h, p, "stem_gn"))
     for i in range(4):
         h = _residual_block(p, h, f"block{i}")
         h = T.avg_pool2d(h, 2)
     flat = T.reshape(h, (h.shape[0], h.shape[1] * h.shape[2] * h.shape[3]))
-    return _linear(flat, p["feat.w"], p["feat.b"])
+    return T.linear(flat, p["feat.w"], p["feat.b"])
 
 
 def encode(pair_params: dict[str, Tensor], batch: Tensor, config: EncoderConfig) -> tuple[Tensor, Tensor]:
@@ -220,9 +201,9 @@ def encode(pair_params: dict[str, Tensor], batch: Tensor, config: EncoderConfig)
         features = _encode_tiny(pair_params, batch)
     else:
         features = _encode_small_residual(pair_params, batch)
-    h = T.relu(_linear(features, pair_params["proj1.w"], pair_params["proj1.b"]))
-    h = T.relu(_linear(h, pair_params["proj2.w"], pair_params["proj2.b"]))
-    h = _linear(h, pair_params["proj3.w"], pair_params["proj3.b"])
+    h = T.relu(T.linear(features, pair_params["proj1.w"], pair_params["proj1.b"]))
+    h = T.relu(T.linear(h, pair_params["proj2.w"], pair_params["proj2.b"]))
+    h = T.linear(h, pair_params["proj3.w"], pair_params["proj3.b"])
     return features, T.l2_normalize(h)
 
 
@@ -242,6 +223,11 @@ def save_checkpoint(pair: EncoderPair, directory: str) -> None:
     """Write manifest.json plus a little-endian float32 parameter blob."""
     os.makedirs(directory, exist_ok=True)
     names = [name for name, _ in param_specs(pair.config)]
+    blob = b"".join(
+        np.ascontiguousarray(params[n].data.astype("<f4")).tobytes()
+        for params in (pair.q_params, pair.k_params)
+        for n in names
+    )
     manifest = {
         "arch": pair.config.arch,
         "input_channels": pair.config.input_channels,
@@ -254,12 +240,8 @@ def save_checkpoint(pair: EncoderPair, directory: str) -> None:
         "params": [
             {"name": n, "shape": list(pair.q_params[n].shape)} for n in names
         ],
+        "blob_blake2b": hashlib.blake2b(blob).hexdigest(),
     }
-    blob = b"".join(
-        np.ascontiguousarray(params[n].data.astype("<f4")).tobytes()
-        for params in (pair.q_params, pair.k_params)
-        for n in names
-    )
     atomic_write_text(os.path.join(directory, "manifest.json"), json.dumps(manifest, indent=2))
     atomic_write_bytes(os.path.join(directory, "checkpoint.bin"), blob)
 
@@ -283,6 +265,8 @@ def load_checkpoint(directory: str) -> EncoderPair:
         )
     with open(os.path.join(directory, "checkpoint.bin"), "rb") as fh:
         blob = fh.read()
+    if manifest.get("blob_blake2b") != hashlib.blake2b(blob).hexdigest():
+        raise ValidationError("checkpoint.bin does not match the blob_blake2b digest in manifest.json")
     sizes = [int(np.prod(e["shape"])) for e in entries]
     expected = 2 * 4 * sum(sizes)
     if len(blob) != expected:

@@ -2,10 +2,11 @@
 
 The op set is the minimal closed family needed by the encoder, projection
 head, contrastive losses, and optimizers: elementwise arithmetic, matmul,
-2D cross-correlation, pooling, reductions, concat, gather, L2
-normalization, and a max-shifted logsumexp. Gradients are recorded on an
-explicit tape and replayed in reverse; every differentiable op is covered
-by finite-difference checks in the test suite.
+linear (``x @ w + b``), 2D cross-correlation with an optional bias, group
+normalization, pooling, reductions, concat, gather, L2 normalization, and a
+max-shifted logsumexp; each encoder layer is one tape record. Gradients are
+replayed in reverse recording order; every differentiable op is covered by
+finite-difference checks in the test suite.
 """
 
 from __future__ import annotations
@@ -292,6 +293,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for x [N,D], w [D,O], b [O]."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear shapes incompatible: {x.shape} x {w.shape} + {b.shape}")
+    return _make(x.data @ w.data + b.data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+
+
 def l2_normalize(a: Tensor, epsilon: float = 1e-12) -> Tensor:
     """Normalize trailing-dimension slices to unit norm, epsilon-guarded near zero."""
     norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
@@ -321,6 +329,31 @@ def logsumexp(a: Tensor) -> Tensor:
         return ((np.expand_dims(g, -1) * soft).astype(a.dtype, copy=False),)
 
     return _make(out, (a,), bwd)
+
+
+def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float) -> Tensor:
+    """Per-group z-score of x [N,C,H,W], then per-channel scale and shift (arXiv:1803.08494)."""
+    n, c, h, w = x.shape
+    if c % groups:
+        raise DimensionError(f"group_norm: {c} channels do not split into {groups} groups")
+    xg = x.data.reshape(n, groups, (c // groups) * h * w)
+    centered = xg - xg.mean(axis=2, keepdims=True)
+    sd = np.sqrt((centered * centered).mean(axis=2, keepdims=True) + float(eps))
+    normed = (centered / sd).reshape(x.shape)
+    gamma4 = gamma.data.reshape(1, c, 1, 1)
+    out = normed * gamma4 + beta.data.reshape(1, c, 1, 1)
+
+    def bwd(g):
+        # sum for sum the backward of the reshape/mean/sub/mul/div/sqrt op chain, so run bytes match it
+        m = xg.shape[2]
+        gn = (g * gamma4).reshape(xg.shape)
+        dsd = _unbroadcast(-gn * centered / (sd * sd), sd.shape)
+        dsq = np.broadcast_to(dsd * (0.5 / sd) / m, xg.shape).astype(xg.dtype, copy=False)
+        dc = gn / sd + dsq * centered + dsq * centered
+        dx = dc + np.broadcast_to(_unbroadcast(-dc, sd.shape) / m, xg.shape).astype(xg.dtype, copy=False)
+        return dx.reshape(x.shape), (g * normed).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+    return _make(out, (x, gamma, beta), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +389,10 @@ def _col2im(cols: np.ndarray, shape, stride: int, pad: int) -> np.ndarray:
     return xp
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2D cross-correlation with zero padding (no kernel flip)."""
+def conv2d(
+    x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *, bias: Tensor | None = None
+) -> Tensor:
+    """2D cross-correlation with zero padding (no kernel flip) and an optional bias [F]."""
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4D input and kernel, got {x.shape} and {kernel.shape}")
     n, c, h, w = x.shape
@@ -371,15 +406,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     cols = _im2col(x.data, kh, kw, stride, padding)
     # (n,c,kh,kw,ho,wo) x (f,c,kh,kw) -> (n,f,ho,wo)
     out = np.tensordot(cols, kernel.data, axes=([1, 2, 3], [1, 2, 3])).transpose(0, 3, 1, 2)
+    out = np.ascontiguousarray(out)
+    if bias is not None:
+        out = out + bias.data.reshape(1, f, 1, 1)
 
     def bwd(g):
         # g: (n,f,ho,wo)
         dk = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))  # (f,c,kh,kw)
         dcols = np.einsum("nfhw,fcij->ncijhw", g, kernel.data)
         dx = _col2im(dcols.astype(x.dtype, copy=False), x.shape, stride, padding)
-        return (dx, dk.astype(kernel.dtype, copy=False))
+        grads = (dx, dk.astype(kernel.dtype, copy=False))
+        return grads if bias is None else grads + (g.sum(axis=(0, 2, 3)),)
 
-    return _make(np.ascontiguousarray(out), (x, kernel), bwd)
+    return _make(out, (x, kernel) if bias is None else (x, kernel, bias), bwd)
 
 
 def avg_pool2d(x: Tensor, k: int) -> Tensor:

@@ -161,6 +161,15 @@ class RunConfig:
             raise ValidationError("amimv mode needs batch_size >= 2")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise ValidationError(f"ema_momentum {self.ema_momentum} outside [0,1]")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if not self.base_lr >= 0.0:
+            raise ValidationError(f"base_lr must be >= 0 (0: batch-scaled), got {self.base_lr}")
+        if not 0.0 <= self.warmup_fraction <= 1.0:
+            raise ValidationError(f"warmup_fraction {self.warmup_fraction} outside [0,1]")
+        scale = self.crop_scale
+        if not (isinstance(scale, (tuple, list)) and len(scale) == 2 and 0 < scale[0] <= scale[1] <= 1):
+            raise ValidationError(f"crop_scale must be lo:hi with 0 < lo <= hi <= 1, got {scale}")
 
 
 _TUPLE_FIELDS = {"crop_scale"}

@@ -56,6 +56,8 @@ class AugmentConfig:
             raise ValidationError("crop_output must be >= 1")
         if self.blur_kernel % 2 == 0:
             raise ValidationError(f"blur kernel must be odd, got {self.blur_kernel}")
+        if not self.blur_sigma[0] > 0.0:
+            raise ValidationError(f"blur_sigma range {self.blur_sigma} must start above 0")
 
 
 @dataclass
@@ -121,16 +123,6 @@ def gaussian_weights(sigma: float, k: int) -> np.ndarray:
     ax = np.arange(-r, r + 1, dtype=np.float64)
     w = np.exp(-(ax**2) / (2.0 * sigma**2))
     return w / w.sum()
-
-
-def gaussian_kernel(sigma: float, k: int) -> np.ndarray:
-    """Normalized k x k Gaussian weights over integer offsets."""
-    if k % 2 == 0:
-        raise ValidationError(f"kernel size must be odd, got {k}")
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    w = gaussian_weights(sigma, k)
-    return np.outer(w, w)
 
 
 def gaussian_blur(x: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -72,14 +72,29 @@ class TestPretrain:
             ["--ema_momentum", "1.5"],
             ["--ema_momentum", "-0.1"],
             ["--standardize_augmented", "flase"],
+            ["--crop_scale=-1:-0.5"],
+            ["--crop_scale", "0.5"],
+            ["--crop_scale", "2:3"],
+            ["--warmup_fraction", "2"],
+            ["--warmup_fraction", "-1"],
+            ["--base_lr", "-1"],
+            ["--seed", "-1"],
+            ["--crop_scale", "0:1"],
+            ["--crop_scale", "0.8:0.5"],
+            ["--warmup_fraction", "nan"],
+            ["--base_lr", "nan"],
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, flags):
+        # a run with these base flags succeeds, so only the flag under test can fail it
+        base = ["--dataset", SMALL_SYNTH, "--epochs", "1", "--batch_size", "8"]
         out = tmp_path / "run"
-        code = main(["pretrain", "--out", str(out), "--dataset", SMALL_SYNTH, *flags])
+        code = main(["pretrain", "--out", str(out), *base, *flags])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        key = [f for f in flags if f.startswith("--")][-1][2:].split("=")[0]
+        assert key in err
         assert not out.exists()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
@@ -91,6 +106,13 @@ class TestPretrain:
         )
         assert code == 0
         assert json.loads((out / "run.json").read_text())["seed"] == 7
+
+    def test_non_integer_env_seed_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("AMIMV_SEED", "seven")
+        out = tmp_path / "run"
+        assert main(["pretrain", "--out", str(out), "--dataset", SMALL_SYNTH]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +177,18 @@ class TestProbe:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "eval.json").exists()
 
+    def test_corrupted_blob_exit_2(self, tmp_path, capsys):
+        from amimv import model as M
+
+        cfg = M.EncoderConfig(arch="tiny", input_channels=1, input_size=16)
+        M.save_checkpoint(M.init_pair(cfg, seed=0), str(tmp_path))
+        blob = bytearray((tmp_path / "checkpoint.bin").read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        (tmp_path / "checkpoint.bin").write_bytes(bytes(blob))
+        assert main(["probe", str(tmp_path), SMALL_SYNTH]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "eval.json").exists()
+
     def test_missing_checkpoint_exit_2(self, tmp_path):
         code = main(["probe", str(tmp_path / "absent"), SMALL_SYNTH])
         assert code == 2
@@ -193,3 +227,27 @@ class TestReport:
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path), SMALL_SYNTH]) == 2
+
+
+class TestSeeds:
+    """Seeds are input: a negative or non-integer one exits 2 with one line."""
+
+    @pytest.mark.parametrize("command", ["analyze", "probe", "report"])
+    def test_negative_seed_exit_2(self, charts_dir, tmp_path, capsys, command):
+        args = [SMALL_SYNTH, "--out", str(tmp_path / "out"), "--seed", "-1"]
+        if command != "analyze":
+            args.insert(0, str(charts_dir))
+        assert main([command, *args]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "probe", "report"])
+    @pytest.mark.parametrize("raw", ["seven", "1.5", "-3"])
+    def test_bad_env_seed_exit_2(self, charts_dir, tmp_path, capsys, monkeypatch, command, raw):
+        monkeypatch.setenv("AMIMV_SEED", raw)
+        args = [SMALL_SYNTH, "--out", str(tmp_path / "out")]
+        if command != "analyze":
+            args.insert(0, str(charts_dir))
+        assert main([command, *args]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "out").exists()

@@ -1,5 +1,7 @@
 """Encoder pair: init, forward, EMA, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,14 @@ class TestCheckpoint:
         for n in pair.q_params:
             np.testing.assert_array_equal(loaded.q_params[n].data, pair.q_params[n].data)
             np.testing.assert_array_equal(loaded.k_params[n].data, pair.k_params[n].data)
+
+    def test_missing_digest_rejected(self, tmp_path):
+        M.save_checkpoint(M.init_pair(CFG, seed=9), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["blob_blake2b"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="digest"):
+            M.load_checkpoint(tmp_path)
 
     def test_blob_bytes_stable(self, tmp_path):
         pair = M.init_pair(CFG, seed=9)

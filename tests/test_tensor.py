@@ -274,3 +274,119 @@ def test_determinism_bitwise():
     assert l1 == l2
     np.testing.assert_array_equal(g1, h1)
     np.testing.assert_array_equal(g2, h2)
+
+
+# ---------------------------------------------------------------------------
+# fused layer ops: finite differences at the criterion-2 standard, and
+# bitwise equality with the op chains they replace
+
+
+def _fused_cases(rng):
+    def weighted(op, out_shape):
+        # sum(y * R + y * y) for a fixed random R, so no gradient is trivially zero
+        r = T.Tensor(rng.normal(size=out_shape))
+        return lambda *leaves: T.sum_(T.add(T.mul(y := op(*leaves), r), T.mul(y, y)))
+
+    return [
+        # one channel per group
+        (
+            weighted(lambda x, g, b: T.group_norm(x, g, b, 4, 1e-5), (2, 4, 3, 3)),
+            [rng.normal(size=(2, 4, 3, 3)), rng.normal(size=4), rng.normal(size=4)],
+        ),
+        # three channels per group
+        (
+            weighted(lambda x, g, b: T.group_norm(x, g, b, 2, 1e-5), (2, 6, 2, 3)),
+            [rng.normal(size=(2, 6, 2, 3)), rng.normal(size=6), rng.normal(size=6)],
+        ),
+        (
+            weighted(lambda x, k, b: T.conv2d(x, k, 1, 1, bias=b), (2, 3, 4, 4)),
+            [rng.normal(size=(2, 2, 4, 4)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)],
+        ),
+        (
+            weighted(T.linear, (3, 2)),
+            [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)],
+        ),
+    ]
+
+
+def test_fused_ops_gradcheck_twenty_seeds():
+    for seed in range(20):
+        for build, arrays in _fused_cases(np.random.default_rng(seed)):
+            check_gradients(build, arrays, rtol=1e-4)
+
+
+def _chain_group_norm(x, gamma, beta, groups, eps):
+    """The reshape/mean/sub/mul/div/sqrt chain that T.group_norm replaces."""
+    n, c, h, w = x.shape
+    xg = T.reshape(x, (n, groups, (c // groups) * h * w))
+    mu = T.mean(xg, axis=2, keepdims=True)
+    centered = T.sub(xg, mu)
+    var = T.mean(T.mul(centered, centered), axis=2, keepdims=True)
+    normed = T.div(centered, T.sqrt(T.add_scalar(var, eps)))
+    normed = T.reshape(normed, (n, c, h, w))
+    gamma4 = T.reshape(gamma, (1, c, 1, 1))
+    beta4 = T.reshape(beta, (1, c, 1, 1))
+    return T.add(T.mul(normed, gamma4), beta4)
+
+
+def _chain_conv2d(x, k, b):
+    out = T.conv2d(x, k, 1, 1)
+    return T.add(out, T.reshape(b, (1, out.shape[1], 1, 1)))
+
+
+def _chain_linear(x, w, b):
+    return T.add(T.matmul(x, w), T.reshape(b, (1, b.shape[0])))
+
+
+@pytest.mark.parametrize(
+    "fused,chain,shapes",
+    [
+        (
+            lambda x, g, b: T.group_norm(x, g, b, 8, 1e-5),
+            lambda x, g, b: _chain_group_norm(x, g, b, 8, 1e-5),
+            [(4, 16, 7, 7), (16,), (16,)],
+        ),
+        (
+            lambda x, g, b: T.group_norm(x, g, b, 8, 1e-5),
+            lambda x, g, b: _chain_group_norm(x, g, b, 8, 1e-5),
+            [(3, 8, 5, 5), (8,), (8,)],
+        ),
+        (
+            lambda x, k, b: T.conv2d(x, k, 1, 1, bias=b),
+            _chain_conv2d,
+            [(4, 3, 6, 6), (8, 3, 3, 3), (8,)],
+        ),
+        (T.linear, _chain_linear, [(37, 12), (12, 7), (7,)]),
+    ],
+    ids=["group_norm-2ch", "group_norm-1ch", "conv2d-bias", "linear"],
+)
+def test_fused_op_bitwise_equals_chain_float32(fused, chain, shapes):
+    rng = np.random.default_rng(11)
+    arrays = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    out_shape = fused(*[T.Tensor(a) for a in arrays]).shape
+    weights = T.Tensor(rng.normal(size=out_shape).astype(np.float32))
+    results = []
+    for op in (fused, chain):
+        leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+        with T.Tape() as tape:
+            y = op(*leaves)
+            loss = T.mean(T.add(T.mul(y, y), T.mul(y, weights)))
+        T.backward(loss, tape)
+        results.append((y.data, [leaf.grad for leaf in leaves], len(tape.records)))
+    (y_new, g_new, n_new), (y_old, g_old, n_old) = results
+    np.testing.assert_array_equal(y_new, y_old)
+    for a, b in zip(g_new, g_old):
+        assert a.dtype == b.dtype == np.float32
+        np.testing.assert_array_equal(a, b)
+    assert n_new < n_old
+
+
+def test_group_norm_needs_whole_groups():
+    x = t(np.zeros((1, 6, 2, 2)))
+    with pytest.raises(DimensionError, match="6 channels"):
+        T.group_norm(x, t(np.ones(6)), t(np.zeros(6)), 4, 1e-5)
+
+
+def test_linear_shape_mismatch():
+    with pytest.raises(DimensionError, match="linear"):
+        T.linear(t(np.ones((2, 3))), t(np.ones((3, 4))), t(np.ones(3)))

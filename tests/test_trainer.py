@@ -119,6 +119,12 @@ class TestConfig:
         cfg = TR.config_from_dict({}, {"standardize_augmented": raw})
         assert cfg.standardize_augmented is value
 
+    def test_range_edges_accepted(self):
+        cfg = TR.config_from_dict(
+            {}, {"crop_scale": "1:1", "warmup_fraction": "0", "base_lr": "0", "seed": "0"}
+        )
+        assert cfg.crop_scale == (1.0, 1.0) and cfg.base_lr == 0.0
+
     @pytest.mark.parametrize("raw", ["flase", "", "on", "2"])
     def test_boolean_typo_rejected(self, raw):
         with pytest.raises(ValidationError, match="standardize_augmented"):
@@ -175,6 +181,15 @@ class TestPretrain:
             for n in result.pair.q_params
         ]
         assert any(diffs)
+
+    @pytest.mark.parametrize("placement, equal", [("after", True), ("before", False)])
+    def test_ema_placement_with_zero_momentum(self, tmp_path, placement, equal):
+        # m = 0 copies q into k: after the optimizer step k is the final q,
+        # before it k is q as it was one step earlier
+        cfg = tiny_run_config(tmp_path, epochs=1, ema_momentum=0.0, ema_placement=placement)
+        pair = TR.pretrain(cfg).pair
+        same = [np.array_equal(pair.q_params[n].data, pair.k_params[n].data) for n in pair.q_params]
+        assert all(same) if equal else not any(same)
 
     def test_baseline_mode_runs(self, tmp_path):
         result = TR.pretrain(tiny_run_config(tmp_path, mode="simclr_baseline", epochs=1))

@@ -57,22 +57,28 @@ class TestNormalizeView:
 
 
 class TestGaussianKernel:
+    """The 1-D weights of the separable blur; its 2-D kernel is their outer product."""
+
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 3.7])
     def test_sums_to_one(self, sigma):
-        assert V.gaussian_kernel(sigma, 3).sum() == pytest.approx(1.0)
+        assert V.gaussian_weights(sigma, 3).sum() == pytest.approx(1.0)
 
     def test_near_delta_at_tiny_sigma(self):
-        k = V.gaussian_kernel(0.1, 3)
-        assert k[1, 1] > 0.999
+        w = V.gaussian_weights(0.1, 3)
+        assert np.outer(w, w)[1, 1] > 0.999
 
     def test_reflection_symmetric(self):
-        k = V.gaussian_kernel(0.8, 5)
-        np.testing.assert_allclose(k, k[::-1], atol=1e-15)
-        np.testing.assert_allclose(k, k[:, ::-1], atol=1e-15)
+        w = V.gaussian_weights(0.8, 5)
+        np.testing.assert_allclose(w, w[::-1], atol=1e-15)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValidationError):
-            V.gaussian_kernel(1.0, 4)
+            V.AugmentConfig(blur_kernel=4)
+
+    @pytest.mark.parametrize("sigma", [(0.0, 0.0), (0.0, 1.0), (-0.5, 1.0)])
+    def test_sigma_range_must_start_above_zero(self, sigma):
+        with pytest.raises(ValidationError, match="blur_sigma"):
+            V.AugmentConfig(blur_sigma=sigma)
 
 
 class TestAugmentView:
