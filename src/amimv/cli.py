@@ -103,6 +103,8 @@ def cmd_pretrain(args: argparse.Namespace, extra: list[str]) -> int:
         if args.config:
             with open(args.config) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValidationError(f"config: expected a JSON object, got {type(data).__name__}")
         overrides = _parse_overrides(extra)
         if args.out:
             overrides["out_dir"] = args.out

@@ -246,9 +246,21 @@ def save_checkpoint(pair: EncoderPair, directory: str) -> None:
     atomic_write_bytes(os.path.join(directory, "checkpoint.bin"), blob)
 
 
+_MANIFEST_INTS = ("input_channels", "input_size", "projector_hidden", "projector_out", "step")
+
+
 def load_checkpoint(directory: str) -> EncoderPair:
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"manifest.json must hold a JSON object, got {type(manifest).__name__}")
+    for key in _MANIFEST_INTS:
+        value = manifest.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValidationError(f"manifest {key} must be a non-negative integer, got {value!r}")
+    momentum = manifest.get("momentum")
+    if isinstance(momentum, bool) or not isinstance(momentum, (int, float)) or not 0.0 <= momentum <= 1.0:
+        raise ValidationError(f"manifest momentum must be a number in [0,1], got {momentum!r}")
     config = EncoderConfig(
         arch=manifest["arch"],
         input_channels=manifest["input_channels"],

@@ -4,9 +4,11 @@ The op set is the minimal closed family needed by the encoder, projection
 head, contrastive losses, and optimizers: elementwise arithmetic, matmul,
 linear (``x @ w + b``), 2D cross-correlation with an optional bias, group
 normalization, pooling, reductions, concat, gather, L2 normalization, and a
-max-shifted logsumexp; each encoder layer is one tape record. Gradients are
-replayed in reverse recording order; every differentiable op is covered by
-finite-difference checks in the test suite.
+max-shifted logsumexp; each encoder layer is one tape record. conv2d keeps one
+im2col matrix per call, built directly in GEMM layout, and skips the gradient
+of an input that does not require one. Gradients are replayed in reverse
+recording order; every differentiable op is covered by finite-difference
+checks in the test suite.
 """
 
 from __future__ import annotations
@@ -370,11 +372,13 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     wo = _conv_out_size(w, kw, stride, pad)
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    # rows (n, ho, wo), columns (c, kh, kw): the GEMM operand, filled in place
+    cols = np.empty((n, ho, wo, c, kh, kw), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols
+            patch = x[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            cols[..., i, j] = patch.transpose(0, 2, 3, 1)
+    return cols.reshape(n * ho * wo, c * kh * kw)
 
 
 def _col2im(cols: np.ndarray, shape, stride: int, pad: int) -> np.ndarray:
@@ -403,18 +407,21 @@ def conv2d(
         raise DimensionError(
             f"kernel {kernel.shape} larger than padded input {x.shape} (padding={padding})"
         )
+    ho = _conv_out_size(h, kh, stride, padding)
+    wo = _conv_out_size(w, kw, stride, padding)
     cols = _im2col(x.data, kh, kw, stride, padding)
-    # (n,c,kh,kw,ho,wo) x (f,c,kh,kw) -> (n,f,ho,wo)
-    out = np.tensordot(cols, kernel.data, axes=([1, 2, 3], [1, 2, 3])).transpose(0, 3, 1, 2)
+    out = (cols @ kernel.data.reshape(f, -1).T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
     out = np.ascontiguousarray(out)
     if bias is not None:
         out = out + bias.data.reshape(1, f, 1, 1)
 
     def bwd(g):
         # g: (n,f,ho,wo)
-        dk = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))  # (f,c,kh,kw)
-        dcols = np.einsum("nfhw,fcij->ncijhw", g, kernel.data)
-        dx = _col2im(dcols.astype(x.dtype, copy=False), x.shape, stride, padding)
+        dk = (g.transpose(1, 0, 2, 3).reshape(f, -1) @ cols).reshape(kernel.shape)
+        dx = None  # backward() drops the gradient of an input that does not require one
+        if x.requires_grad:
+            dcols = np.einsum("nfhw,fcij->ncijhw", g, kernel.data)
+            dx = _col2im(dcols.astype(x.dtype, copy=False), x.shape, stride, padding)
         grads = (dx, dk.astype(kernel.dtype, copy=False))
         return grads if bias is None else grads + (g.sum(axis=(0, 2, 3)),)
 

@@ -172,7 +172,6 @@ class RunConfig:
             raise ValidationError(f"crop_scale must be lo:hi with 0 < lo <= hi <= 1, got {scale}")
 
 
-_TUPLE_FIELDS = {"crop_scale"}
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -190,22 +189,56 @@ def config_from_dict(data: dict, overrides: dict[str, str] | None = None) -> Run
     for key, value in merged.items():
         target = getattr(defaults, key)
         if isinstance(value, str) and not isinstance(target, str):
-            if isinstance(target, bool):
-                if value.lower() not in _BOOLEANS:
-                    raise ValidationError(f"{key}: expected true/false/yes/no/1/0, got {value!r}")
-                value = _BOOLEANS[value.lower()]
-            elif isinstance(target, int):
-                value = int(value)
-            elif isinstance(target, float):
-                value = float(value)
-            elif key in _TUPLE_FIELDS:
-                value = tuple(float(x) for x in value.split(":"))
-            elif isinstance(target, list):
-                value = [int(x) for x in value.split(":")] if value else []
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        coerced[key] = value
+            value = _parse_string(key, value, target)
+        _check_type(key, value, target)
+        coerced[key] = tuple(value) if isinstance(target, tuple) else value
     return RunConfig(**coerced)
+
+
+def _parse_string(key: str, value: str, target):
+    """Parse a CLI override (or a JSON string) into the type of the field's default."""
+    if isinstance(target, bool):
+        if value.lower() not in _BOOLEANS:
+            raise ValidationError(f"{key}: expected true/false/yes/no/1/0, got {value!r}")
+        return _BOOLEANS[value.lower()]
+    try:
+        if isinstance(target, int):
+            return int(value)
+        if isinstance(target, float):
+            return float(value)
+        if isinstance(target, tuple):
+            return tuple(float(x) for x in value.split(":"))
+        return [int(x) for x in value.split(":")] if value else []
+    except ValueError:
+        raise ValidationError(f"{key}: cannot parse {value!r}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(key: str, value, target) -> None:
+    """JSON values arrive typed: each must match the type of the field's default."""
+    if isinstance(target, bool):
+        ok, expected = isinstance(value, bool), "true or false"
+    elif isinstance(target, int):
+        ok, expected = _is_int(value), "an integer"
+    elif isinstance(target, float):
+        ok, expected = _is_number(value), "a number"
+    elif isinstance(target, str):
+        ok, expected = isinstance(value, str), "a string"
+    elif isinstance(target, tuple):
+        ok = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+        expected = "two numbers"
+    else:
+        ok = isinstance(value, list) and all(map(_is_int, value))
+        expected = "a list of integers"
+    if not ok:
+        raise ValidationError(f"{key}: expected {expected}, got {value!r}")
 
 
 def resolve_view_size(config: RunConfig, dataset: ImageDataset) -> int:

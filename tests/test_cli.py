@@ -1,13 +1,34 @@
 """End-to-end command-line behavior and exit-code contract."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amimv.cli import main
+from amimv.trainer import RunConfig
 
 SMALL_SYNTH = "synthetic:C=2,counts=40:24,size=16"
+
+# Wrong types, NaN/inf, negatives, empty lists and strings: none of them is a
+# valid value that makes a run longer (epochs and batch_size take only ints).
+_BAD_JSON_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "x", "a:b", [], {}, {"a": 1}, ["a", "b"]]),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.integers(max_value=0),
+    st.floats(max_value=0.0),
+    st.lists(
+        st.one_of(st.none(), st.booleans(), st.integers(max_value=0), st.floats(), st.just("")),
+        max_size=3,
+    ),
+)
 
 
 class TestAnalyze:
@@ -83,19 +104,55 @@ class TestPretrain:
             ["--crop_scale", "0.8:0.5"],
             ["--warmup_fraction", "nan"],
             ["--base_lr", "nan"],
+            # a JSON config file: the value over the base settings, or the whole file
+            ["--config", {"epochs": [1]}],
+            ["--config", {"epochs": 2.0}],
+            ["--config", {"seed": 1.5}],
+            ["--config", {"tau": [1]}],
+            ["--config", {"crop_scale": ["a", "b"]}],
+            ["--config", {"dataset": 5}],
+            ["--config", [1, 2]],
+            ["--config", {"epochs": True}],
+            ["--config", {"snapshot_epochs": [1.5]}],
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, flags):
-        # a run with these base flags succeeds, so only the flag under test can fail it
-        base = ["--dataset", SMALL_SYNTH, "--epochs", "1", "--batch_size", "8"]
+        # a run with these base settings succeeds, so only the value under test can fail it
+        base = {"dataset": SMALL_SYNTH, "epochs": 1, "batch_size": 8}
         out = tmp_path / "run"
-        code = main(["pretrain", "--out", str(out), *base, *flags])
+        if flags[0] == "--config":
+            value = flags[1]
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(base | value if isinstance(value, dict) else value))
+            args = ["--config", str(cfg)]
+            key = next(iter(value)) if isinstance(value, dict) else "config"
+        else:
+            args = [tok for k, v in base.items() for tok in (f"--{k}", str(v))] + flags
+            key = [f for f in flags if f.startswith("--")][-1][2:].split("=")[0]
+        code = main(["pretrain", "--out", str(out), *args])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        key = [f for f in flags if f.startswith("--")][-1][2:].split("=")[0]
         assert key in err
         assert not out.exists()
+
+    @given(
+        field=st.sampled_from([f.name for f in dataclasses.fields(RunConfig) if f.name != "out_dir"]),
+        value=_BAD_JSON_VALUES,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_config_value_ends_in_exit_1(self, field, value):
+        # out_dir is left out: --out below overrides it
+        config = {"dataset": SMALL_SYNTH, "epochs": 1, "batch_size": 8, field: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w") as fh:
+                json.dump(config, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["pretrain", "--config", cfg, "--out", os.path.join(tmp, "run")])
+        assert code in (0, 2, 3, 4)
+        assert err.getvalue().count("\n") <= 1
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AMIMV_SEED", "7")
@@ -162,8 +219,11 @@ class TestProbe:
             lambda m: m.update(arch="small_residual"),
             lambda m: m["params"][0].update(shape=[8, 1, 5, 5]),
             lambda m: m.update(dtype="float64"),
+            lambda m: m.update(input_size="16"),
+            lambda m: [1],
+            lambda m: m.update(momentum="x"),
         ],
-        ids=["arch", "shape", "dtype"],
+        ids=["arch", "shape", "dtype", "input_size-str", "not-an-object", "momentum-str"],
     )
     def test_mismatched_manifest_exit_2(self, tmp_path, capsys, edit):
         from amimv import model as M
@@ -171,7 +231,7 @@ class TestProbe:
         cfg = M.EncoderConfig(arch="tiny", input_channels=1, input_size=16)
         M.save_checkpoint(M.init_pair(cfg, seed=0), str(tmp_path))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        edit(manifest)
+        manifest = edit(manifest) or manifest  # an edit edits in place or returns a new manifest
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert main(["probe", str(tmp_path), SMALL_SYNTH]) == 2
         assert capsys.readouterr().err.count("\n") == 1

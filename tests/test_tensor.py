@@ -390,3 +390,91 @@ def test_group_norm_needs_whole_groups():
 def test_linear_shape_mismatch():
     with pytest.raises(DimensionError, match="linear"):
         T.linear(t(np.ones((2, 3))), t(np.ones((3, 4))), t(np.ones(3)))
+
+
+# ---------------------------------------------------------------------------
+# conv2d against the 6-D im2col + tensordot formulation it replaced
+
+
+def _reference_conv2d(x, k, b, stride, pad, g):
+    """Output, dx, dk, db of the loop-plus-tensordot conv2d, for upstream gradient g."""
+    n, c, h, w = x.shape
+    f, _, kh, kw = k.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    out = np.tensordot(cols, k, axes=([1, 2, 3], [1, 2, 3])).transpose(0, 3, 1, 2)
+    out = np.ascontiguousarray(out) + b.reshape(1, f, 1, 1)
+    dk = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))
+    dcols = np.einsum("nfhw,fcij->ncijhw", g, k)
+    dxp = np.zeros(xp.shape, dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, i, j]
+    dx = dxp[:, :, pad:-pad, pad:-pad] if pad else dxp
+    return out, dx, dk, g.sum(axis=(0, 2, 3))
+
+
+# (input shape, kernel shape, stride, padding): every encoder conv layer, then stride 2
+_ENCODER_CONVS = [
+    ((64, 1, 28, 28), (8, 1, 3, 3), 1, 1),  # tiny conv1, batch 64
+    ((64, 8, 14, 14), (16, 8, 3, 3), 1, 1),  # tiny conv2
+    ((256, 1, 28, 28), (8, 1, 3, 3), 1, 1),  # tiny, batch 256
+    ((256, 8, 14, 14), (16, 8, 3, 3), 1, 1),
+    ((32, 1, 32, 32), (32, 1, 3, 3), 1, 1),  # small_residual stem, gray and RGB
+    ((32, 3, 32, 32), (32, 3, 3, 3), 1, 1),
+    ((32, 32, 32, 32), (32, 32, 3, 3), 1, 1),  # block0
+    ((32, 32, 16, 16), (64, 32, 3, 3), 1, 1),  # block1
+    ((32, 64, 16, 16), (64, 64, 3, 3), 1, 1),
+    ((32, 32, 16, 16), (64, 32, 1, 1), 1, 0),
+    ((32, 64, 8, 8), (128, 64, 3, 3), 1, 1),  # block2
+    ((32, 128, 8, 8), (128, 128, 3, 3), 1, 1),
+    ((32, 64, 8, 8), (128, 64, 1, 1), 1, 0),
+    ((32, 128, 4, 4), (256, 128, 3, 3), 1, 1),  # block3
+    ((32, 256, 4, 4), (256, 256, 3, 3), 1, 1),
+    ((32, 128, 4, 4), (256, 128, 1, 1), 1, 0),
+    ((4, 3, 9, 9), (5, 3, 3, 3), 2, 0),
+    ((4, 3, 9, 9), (5, 3, 3, 3), 2, 1),
+    ((3, 2, 10, 11), (4, 2, 2, 3), 2, 2),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS)
+def test_conv2d_bitwise_equals_tensordot_reference(dtype, x_shape, k_shape, stride, pad):
+    rng = np.random.default_rng(5)
+    x, k = (rng.normal(size=s).astype(dtype) for s in (x_shape, k_shape))
+    b = rng.normal(size=k_shape[0]).astype(dtype)
+    leaves = [T.Tensor(a, requires_grad=True) for a in (x, k, b)]
+    with T.Tape() as tape:
+        y = T.conv2d(leaves[0], leaves[1], stride, pad, bias=leaves[2])
+        g = rng.normal(size=y.shape).astype(dtype)
+        loss = T.sum_(T.mul(y, T.Tensor(g)))  # hands conv2d exactly g as its upstream gradient
+    T.backward(loss, tape)
+    expected = _reference_conv2d(x, k, b, stride, pad, g)
+    for got, want in zip([y.data] + [leaf.grad for leaf in leaves], expected):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_conv2d_skips_gradient_of_constant_input():
+    rng = np.random.default_rng(6)
+    x, k = rng.normal(size=(4, 3, 8, 8)), rng.normal(size=(5, 3, 3, 3))
+    b, g = rng.normal(size=5), rng.normal(size=(4, 5, 8, 8))
+    grads = []
+    for x_grad in (True, False):
+        leaves = [t(x, requires_grad=x_grad), t(k, requires_grad=True), t(b, requires_grad=True)]
+        with T.Tape() as tape:
+            loss = T.sum_(T.mul(T.conv2d(leaves[0], leaves[1], 1, 1, bias=leaves[2]), t(g)))
+        T.backward(loss, tape)
+        grads.append([leaf.grad for leaf in leaves])
+    (dx, dk, db), (no_dx, dk_const, db_const) = grads
+    assert dx is not None and no_dx is None
+    np.testing.assert_array_equal(dk, dk_const)
+    np.testing.assert_array_equal(db, db_const)
+    # on the last tape (x without grad) the conv record returns no input gradient at all
+    assert tape.records[0].backward_fn(g)[0] is None
