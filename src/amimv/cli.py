@@ -166,6 +166,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         with open(eval_path) as fh:
             eval_data = json.load(fh)
+        accs = eval_data.get("per_class_accuracy") if isinstance(eval_data, dict) else None
+        if not isinstance(accs, list) or not all(
+            a is None or (isinstance(a, (int, float)) and not isinstance(a, bool)) for a in accs
+        ):
+            raise ValidationError(f"{eval_path}: per_class_accuracy must be a list of numbers or nulls")
         with open(confusion_path) as fh:
             confusion = np.array([[int(v) for v in row] for row in csv.reader(fh)])
         pair = M.load_checkpoint(args.run_dir)
@@ -177,7 +182,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         coords, _, _ = E.pca_project(feats, k=2)
     except (ValidationError, ContractError) as exc:
         return _fail(EXIT_PRECONDITION, str(exc))
-    accs = [0.0 if a is None else float(a) for a in eval_data["per_class_accuracy"]]
+    accs = [0.0 if a is None else float(a) for a in accs]
     out = args.out or args.run_dir
     os.makedirs(out, exist_ok=True)
     atomic_write_text(

@@ -149,17 +149,10 @@ def linear_probe(
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; a run of ties at sorted positions [start, end) shares (start + end + 1) / 2."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)
+    return ((end - counts + end + 1) / 2.0)[inverse]
 
 
 def _binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:

@@ -254,6 +254,9 @@ def load_checkpoint(directory: str) -> EncoderPair:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
         raise ValidationError(f"manifest.json must hold a JSON object, got {type(manifest).__name__}")
+    for key in ("arch", "dtype", "params"):
+        if key not in manifest:
+            raise ValidationError(f"manifest.json has no {key!r} entry")
     for key in _MANIFEST_INTS:
         value = manifest.get(key)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:

@@ -4,11 +4,12 @@ The op set is the minimal closed family needed by the encoder, projection
 head, contrastive losses, and optimizers: elementwise arithmetic, matmul,
 linear (``x @ w + b``), 2D cross-correlation with an optional bias, group
 normalization, pooling, reductions, concat, gather, L2 normalization, and a
-max-shifted logsumexp; each encoder layer is one tape record. conv2d keeps one
-im2col matrix per call, built directly in GEMM layout, and skips the gradient
-of an input that does not require one. Gradients are replayed in reverse
-recording order; every differentiable op is covered by finite-difference
-checks in the test suite.
+max-shifted logsumexp; each encoder layer is one tape record. All three conv2d
+products are im2col GEMMs: the forward and the kernel gradient share one im2col
+matrix of the input, and the input gradient (skipped for an input that does not
+require one) correlates the dilated, padded g with the flipped kernel through
+the same im2col. Gradients are replayed in reverse recording order; every
+differentiable op is covered by finite-difference checks in the test suite.
 """
 
 from __future__ import annotations
@@ -381,18 +382,6 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     return cols.reshape(n * ho * wo, c * kh * kw)
 
 
-def _col2im(cols: np.ndarray, shape, stride: int, pad: int) -> np.ndarray:
-    n, c, h, w = shape
-    _, _, kh, kw, ho, wo = cols.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
-    if pad:
-        xp = xp[:, :, pad:-pad, pad:-pad]
-    return xp
-
-
 def conv2d(
     x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *, bias: Tensor | None = None
 ) -> Tensor:
@@ -420,8 +409,16 @@ def conv2d(
         dk = (g.transpose(1, 0, 2, 3).reshape(f, -1) @ cols).reshape(kernel.shape)
         dx = None  # backward() drops the gradient of an input that does not require one
         if x.requires_grad:
-            dcols = np.einsum("nfhw,fcij->ncijhw", g, kernel.data)
-            dx = _col2im(dcols.astype(x.dtype, copy=False), x.shape, stride, padding)
+            # dx correlates g, zero-dilated by the stride and padded by k-1-padding, with the flipped
+            # kernel (arXiv:1603.07285); where padding > k-1 that pad is negative, and a margin of
+            # eh, ew zeros lets the crop drop the rows of g that lie over the padding
+            eh, ew = max(padding + 1 - kh, 0), max(padding + 1 - kw, 0)
+            gp = np.zeros((n, f, h + kh - 1 + 2 * eh, w + kw - 1 + 2 * ew), dtype=g.dtype)
+            th, tw = kh - 1 - padding + eh, kw - 1 - padding + ew
+            gp[:, :, th : th + stride * ho : stride, tw : tw + stride * wo : stride] = g
+            gcols = _im2col(gp[:, :, eh : eh + h + kh - 1, ew : ew + w + kw - 1], kh, kw, 1, 0)
+            kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            dx = (gcols @ kflip.T).reshape(n, h, w, c).transpose(0, 3, 1, 2).astype(x.dtype, copy=False)
         grads = (dx, dk.astype(kernel.dtype, copy=False))
         return grads if bias is None else grads + (g.sum(axis=(0, 2, 3)),)
 

@@ -167,6 +167,12 @@ class RunConfig:
             raise ValidationError(f"base_lr must be >= 0 (0: batch-scaled), got {self.base_lr}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValidationError(f"warmup_fraction {self.warmup_fraction} outside [0,1]")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValidationError(f"tau must be finite and > 0, got {self.tau}")
+        for key in ("weight_decay", "sgd_momentum", "warmup_start"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{key} must be finite and >= 0, got {value}")
         scale = self.crop_scale
         if not (isinstance(scale, (tuple, list)) and len(scale) == 2 and 0 < scale[0] <= scale[1] <= 1):
             raise ValidationError(f"crop_scale must be lo:hi with 0 < lo <= hi <= 1, got {scale}")

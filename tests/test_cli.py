@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import tempfile
 import xml.etree.ElementTree as ET
 
@@ -114,6 +115,11 @@ class TestPretrain:
             ["--config", [1, 2]],
             ["--config", {"epochs": True}],
             ["--config", {"snapshot_epochs": [1.5]}],
+            ["--tau", "inf"],
+            ["--tau", "nan"],
+            ["--weight_decay", "nan"],
+            ["--sgd_momentum", "inf"],
+            ["--warmup_start", "nan"],
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, flags):
@@ -172,6 +178,10 @@ class TestPretrain:
         assert not out.exists()
 
 
+def _without(key):
+    return lambda manifest: {k: v for k, v in manifest.items() if k != key}
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "run"
@@ -214,18 +224,24 @@ class TestProbe:
         assert main(["probe", str(tmp_path), SMALL_SYNTH]) == 2
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,missing",
         [
-            lambda m: m.update(arch="small_residual"),
-            lambda m: m["params"][0].update(shape=[8, 1, 5, 5]),
-            lambda m: m.update(dtype="float64"),
-            lambda m: m.update(input_size="16"),
-            lambda m: [1],
-            lambda m: m.update(momentum="x"),
+            (lambda m: m.update(arch="small_residual"), None),
+            (lambda m: m["params"][0].update(shape=[8, 1, 5, 5]), None),
+            (lambda m: m.update(dtype="float64"), None),
+            (lambda m: m.update(input_size="16"), None),
+            (lambda m: [1], None),
+            (lambda m: m.update(momentum="x"), None),
+            (_without("arch"), "arch"),
+            (_without("dtype"), "dtype"),
+            (_without("params"), "params"),
         ],
-        ids=["arch", "shape", "dtype", "input_size-str", "not-an-object", "momentum-str"],
+        ids=[
+            "arch", "shape", "dtype", "input_size-str", "not-an-object", "momentum-str",
+            "missing-arch", "missing-dtype", "missing-params",
+        ],
     )
-    def test_mismatched_manifest_exit_2(self, tmp_path, capsys, edit):
+    def test_mismatched_manifest_exit_2(self, tmp_path, capsys, edit, missing):
         from amimv import model as M
 
         cfg = M.EncoderConfig(arch="tiny", input_channels=1, input_size=16)
@@ -234,7 +250,10 @@ class TestProbe:
         manifest = edit(manifest) or manifest  # an edit edits in place or returns a new manifest
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert main(["probe", str(tmp_path), SMALL_SYNTH]) == 2
-        assert capsys.readouterr().err.count("\n") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if missing:
+            assert "manifest" in err and repr(missing) in err
         assert not (tmp_path / "eval.json").exists()
 
     def test_corrupted_blob_exit_2(self, tmp_path, capsys):
@@ -287,6 +306,24 @@ class TestReport:
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path), SMALL_SYNTH]) == 2
+
+    @pytest.mark.parametrize(
+        "eval_data",
+        [{}, [1], {"per_class_accuracy": ["x"]}, {"per_class_accuracy": 5}, {"per_class_accuracy": [True]}],
+    )
+    def test_bad_eval_json_exit_2(self, trained_run, tmp_path, capsys, eval_data):
+        # a complete run dir in which only eval.json is at fault
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("manifest.json", "checkpoint.bin"):
+            shutil.copy(trained_run / name, run / name)
+        (run / "confusion.csv").write_text("1,0\n0,1\n")
+        (run / "eval.json").write_text(json.dumps(eval_data))
+        out = tmp_path / "charts"
+        assert main(["report", str(run), SMALL_SYNTH, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "per_class_accuracy" in err
+        assert not out.exists() and not list(run.glob("*.svg"))
 
 
 class TestSeeds:

@@ -106,6 +106,14 @@ class TestClassificationMetrics:
         report = E.classification_metrics(np.array([[0.5, 0.5]]), np.array([1]))
         assert report.confusion[1, 0] == 1
 
+    @given(scores=st.lists(st.integers(-3, 3), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_average_ranks_match_pairwise_definition(self, scores):
+        # tie-heavy scores: the average rank is 1 + #below + (#tied others) / 2
+        s = np.array(scores, dtype=np.float64)
+        expected = [1 + np.sum(s < v) + (np.sum(s == v) - 1) / 2 for v in s]
+        np.testing.assert_array_equal(E._average_ranks(s), expected)
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
         scores = rng.normal(size=(40, 4))

@@ -172,9 +172,14 @@ class TestGradcheck:
         a, b = _shapes([(3, 4), (4, 2)])
         check_gradients(lambda x, y: T.sum_(T.mul(m := T.matmul(x, y), m)), [a, b])
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 1)])
-    def test_conv2d(self, stride, pad):
-        x, k = _shapes([(2, 2, 5, 5), (3, 2, 3, 3)])
+    @pytest.mark.parametrize(
+        "stride,pad,k_hw",
+        [(1, 0, (3, 3)), (2, 1, (3, 3)), (1, 1, (3, 3)), (2, 3, (2, 3)), (1, 2, (1, 2))],
+        ids=["1-0", "2-1", "1-1", "2-3-k2x3", "1-2-k1x2"],
+    )
+    def test_conv2d(self, stride, pad, k_hw):
+        # the last two have padding >= kh: the rows of g over the padding are cropped from dx's input
+        x, k = _shapes([(2, 2, 5, 5), (3, 2) + k_hw])
         check_gradients(
             lambda a, b: T.sum_(T.mul(c := T.conv2d(a, b, stride, pad), c)), [x, k]
         )
@@ -407,9 +412,12 @@ def _reference_conv2d(x, k, b, stride, pad, g):
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    out = np.tensordot(cols, k, axes=([1, 2, 3], [1, 2, 3])).transpose(0, 3, 1, 2)
+    # at n == 1 tensordot reshapes the (n, ho, wo, c, kh, kw) transpose of cols without a copy, and BLAS
+    # sums that column-major operand in another order; a C-ordered copy gives one GEMM for every batch
+    rows = np.ascontiguousarray(cols.transpose(0, 4, 5, 1, 2, 3))
+    out = np.tensordot(rows, k, axes=([3, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
     out = np.ascontiguousarray(out) + b.reshape(1, f, 1, 1)
-    dk = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))
+    dk = np.tensordot(g, rows, axes=([0, 2, 3], [0, 1, 2]))
     dcols = np.einsum("nfhw,fcij->ncijhw", g, k)
     dxp = np.zeros(xp.shape, dtype=x.dtype)
     for i in range(kh):
@@ -443,10 +451,12 @@ _ENCODER_CONVS = [
 ]
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS)
-def test_conv2d_bitwise_equals_tensordot_reference(dtype, x_shape, k_shape, stride, pad):
-    rng = np.random.default_rng(5)
+# dx is a correlation of g with the flipped kernel, so its sums run in another order than the reference's
+_DX_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def _check_conv2d_against_reference(rng, dtype, x_shape, k_shape, stride, pad):
+    """Output, dk, db byte-equal to the reference; dx within _DX_RTOL of max|dx|."""
     x, k = (rng.normal(size=s).astype(dtype) for s in (x_shape, k_shape))
     b = rng.normal(size=k_shape[0]).astype(dtype)
     leaves = [T.Tensor(a, requires_grad=True) for a in (x, k, b)]
@@ -455,10 +465,31 @@ def test_conv2d_bitwise_equals_tensordot_reference(dtype, x_shape, k_shape, stri
         g = rng.normal(size=y.shape).astype(dtype)
         loss = T.sum_(T.mul(y, T.Tensor(g)))  # hands conv2d exactly g as its upstream gradient
     T.backward(loss, tape)
-    expected = _reference_conv2d(x, k, b, stride, pad, g)
-    for got, want in zip([y.data] + [leaf.grad for leaf in leaves], expected):
-        assert got.dtype == dtype
-        np.testing.assert_array_equal(got, want)
+    out, dx, dk, db = _reference_conv2d(x, k, b, stride, pad, g)
+    for got, want in zip([y.data] + [leaf.grad for leaf in leaves], [out, dx, dk, db]):
+        assert got.dtype == dtype and got.shape == want.shape
+        if want is dx:
+            assert np.abs(got - want).max() <= _DX_RTOL[dtype] * np.abs(want).max()
+        else:
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS)
+def test_conv2d_bitwise_equals_tensordot_reference(dtype, x_shape, k_shape, stride, pad):
+    _check_conv2d_against_reference(np.random.default_rng(5), dtype, x_shape, k_shape, stride, pad)
+
+
+@given(
+    n=st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
+    h=st.integers(3, 9), w=st.integers(3, 9), kh=st.integers(1, 3), kw=st.integers(1, 3),
+    stride=st.integers(1, 3), pad=st.integers(0, 2), dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_conv2d_matches_reference_any_shape(n, c, f, h, w, kh, kw, stride, pad, dtype, seed):
+    rng = np.random.default_rng(seed)
+    _check_conv2d_against_reference(rng, dtype, (n, c, h, w), (f, c, kh, kw), stride, pad)
 
 
 def test_conv2d_skips_gradient_of_constant_input():
