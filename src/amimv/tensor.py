@@ -426,17 +426,12 @@ def conv2d(
 
 
 def avg_pool2d(x: Tensor, k: int) -> Tensor:
-    """Non-overlapping k x k average pooling; H and W must divide by k."""
-    if x.data.ndim != 4:
-        raise DimensionError(f"avg_pool2d expects 4D input, got {x.shape}")
-    n, c, h, w = x.shape
-    if h % k or w % k:
-        raise DimensionError(f"avg_pool2d: spatial dims {h}x{w} not divisible by {k}")
-    r = x.data.reshape(n, c, h // k, k, w // k, k)
-    out = r.mean(axis=(3, 5))
-
-    def bwd(g):
-        gexp = np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)
-        return (gexp.astype(x.dtype, copy=False),)
-
-    return _make(out, (x,), bwd)
+    """Non-overlapping 2 x 2 average pooling; k must be 2 and H, W even."""
+    if x.data.ndim != 4 or k != 2 or x.shape[2] % 2 or x.shape[3] % 2:
+        raise DimensionError(f"avg_pool2d takes k=2 over 4D input with even H and W, got k={k}, {x.shape}")
+    a = x.data
+    # accumulated in place, so only one pooled-size temporary is alive at a time
+    out = a[..., 0::2, 0::2] + a[..., 0::2, 1::2]
+    out += a[..., 1::2, 0::2] + a[..., 1::2, 1::2]
+    out /= 4
+    return _make(out, (x,), lambda g: (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4,))

@@ -398,6 +398,48 @@ def test_linear_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# 2x2 average pooling against the k x k reshape-mean it replaced
+
+
+def _reference_avg_pool2d(x):
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+
+# Every pooled encoder activation (tiny at batch 64, 256 and the 182-image test split; small_residual at
+# batch 32). Tiny shapes are left out on purpose: NumPy picks the summation order of mean(axis=(3, 5)) by
+# shape, and on (1, 1, 2, 2) the reference differs from the pairwise sum in the last bit for about a
+# quarter of random inputs, in both dtypes.
+_ENCODER_POOLS = [
+    (64, 8, 28, 28), (64, 16, 14, 14), (256, 8, 28, 28), (182, 16, 14, 14),
+    (32, 32, 32, 32), (32, 64, 16, 16), (32, 128, 8, 8), (32, 256, 4, 4),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _ENCODER_POOLS)
+def test_avg_pool2d_bitwise_equals_reshape_mean(dtype, shape):
+    x = np.random.default_rng(8).normal(size=shape).astype(dtype)
+    leaf = T.Tensor(x, requires_grad=True)
+    with T.Tape() as tape:
+        y = T.avg_pool2d(leaf, 2)
+        g = np.random.default_rng(9).normal(size=y.shape).astype(dtype)
+        loss = T.sum_(T.mul(y, T.Tensor(g)))
+    T.backward(loss, tape)
+    assert y.data.dtype == leaf.grad.dtype == dtype
+    np.testing.assert_array_equal(y.data, _reference_avg_pool2d(x))
+    np.testing.assert_array_equal(leaf.grad, np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4)
+
+
+@pytest.mark.parametrize(
+    "shape,k", [((1, 2, 6, 6), 3), ((1, 2, 4, 4), 1), ((1, 2, 5, 4), 2), ((1, 2, 4, 7), 2), ((2, 4, 4), 2)]
+)
+def test_avg_pool2d_is_two_by_two_only(shape, k):
+    with pytest.raises(DimensionError, match="avg_pool2d"):
+        T.avg_pool2d(t(np.zeros(shape)), k)
+
+
+# ---------------------------------------------------------------------------
 # conv2d against the 6-D im2col + tensordot formulation it replaced
 
 
