@@ -131,6 +131,7 @@ def cmd_pretrain(args: argparse.Namespace, extra: list[str]) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     try:
         seed = _env_seed(args.seed)
+        probe_cfg = E.ProbeConfig(epochs=args.epochs, seed=seed)
         pair = M.load_checkpoint(args.run_dir)
         dataset = resolve_dataset(args.dataset, seed=seed)
     except (AmimvError, OSError, json.JSONDecodeError, KeyError) as exc:
@@ -144,7 +145,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
     try:
         train_x, train_y = E.extract_features(pair, dataset, "train")
         test_x, test_y = E.extract_features(pair, dataset, "test")
-        probe_cfg = E.ProbeConfig(epochs=args.epochs, seed=seed)
         probe = E.linear_probe(train_x, train_y, probe_cfg, num_classes=dataset.num_classes)
         report = E.classification_metrics(probe.scores(test_x), test_y)
     except NumericError as exc:

@@ -186,6 +186,8 @@ def resolve_dataset(spec: str, seed: int = 0) -> ImageDataset:
         seed = int(fields.get("seed", seed))
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"bad synthetic spec {spec!r}: {exc}") from exc
+    if seed < 0:
+        raise ValidationError(f"synthetic spec seed must be >= 0, got {seed}")
     return make_synthetic_longtail(num_classes, counts, image_size=size, seed=seed)
 
 

@@ -28,6 +28,16 @@ class ProbeConfig:
     weight_decay: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValidationError(f"probe epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValidationError(f"probe batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"probe lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValidationError(f"probe weight_decay must be finite and >= 0, got {self.weight_decay}")
+
 
 @dataclass
 class EvalReport:

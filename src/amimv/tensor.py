@@ -3,19 +3,21 @@
 The op set is the minimal closed family needed by the encoder, projection
 head, contrastive losses, and optimizers: elementwise arithmetic, matmul,
 linear (``x @ w + b``), 2D cross-correlation with an optional bias, group
-normalization, pooling, reductions, concat, gather, L2 normalization, and a
-max-shifted logsumexp; each encoder layer is one tape record. All three conv2d
-products are im2col GEMMs: the forward and the kernel gradient share one im2col
-matrix of the input, and the input gradient (skipped for an input that does not
-require one) correlates the dilated, padded g with the flipped kernel through
-the same im2col. Gradients are replayed in reverse recording order; every
-differentiable op is covered by finite-difference checks in the test suite.
+normalization, 2x2 average pooling, reductions, concat, gather, L2
+normalization, and a max-shifted logsumexp; each encoder layer is one tape
+record. All three conv2d products are im2col GEMMs: the forward and the kernel
+gradient share one im2col matrix of the input, and the input gradient (skipped
+for an input that does not require one) correlates the dilated, padded g with
+the flipped kernel through the same im2col. Group norm's input gradient is its
+closed form, two reductions per group. Gradients are replayed in reverse
+recording order; every differentiable op is covered by finite-difference checks
+in the test suite.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -340,20 +342,21 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float) 
     if c % groups:
         raise DimensionError(f"group_norm: {c} channels do not split into {groups} groups")
     xg = x.data.reshape(n, groups, (c // groups) * h * w)
-    centered = xg - xg.mean(axis=2, keepdims=True)
-    sd = np.sqrt((centered * centered).mean(axis=2, keepdims=True) + float(eps))
-    normed = (centered / sd).reshape(x.shape)
+    # x^ and y overwrite their first temporaries, two fewer group-sized arrays in a batch-256 eval pass
+    normed = xg - xg.mean(axis=2, keepdims=True)
+    sd = np.sqrt((normed * normed).mean(axis=2, keepdims=True) + float(eps))
+    normed = np.divide(normed, sd, out=normed).reshape(x.shape)
     gamma4 = gamma.data.reshape(1, c, 1, 1)
-    out = normed * gamma4 + beta.data.reshape(1, c, 1, 1)
+    out = normed * gamma4
+    out += beta.data.reshape(1, c, 1, 1)
 
     def bwd(g):
-        # sum for sum the backward of the reshape/mean/sub/mul/div/sqrt op chain, so run bytes match it
-        m = xg.shape[2]
+        # per group, dx = (gn - mean(gn) - x^ * mean(gn * x^)) / sd for gn = g * gamma and x^ = normed
         gn = (g * gamma4).reshape(xg.shape)
-        dsd = _unbroadcast(-gn * centered / (sd * sd), sd.shape)
-        dsq = np.broadcast_to(dsd * (0.5 / sd) / m, xg.shape).astype(xg.dtype, copy=False)
-        dc = gn / sd + dsq * centered + dsq * centered
-        dx = dc + np.broadcast_to(_unbroadcast(-dc, sd.shape) / m, xg.shape).astype(xg.dtype, copy=False)
+        xhat = normed.reshape(xg.shape)
+        dx = gn - gn.mean(axis=2, keepdims=True)
+        dx -= xhat * (gn * xhat).mean(axis=2, keepdims=True)
+        dx /= sd
         return dx.reshape(x.shape), (g * normed).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
     return _make(out, (x, gamma, beta), bwd)
@@ -430,7 +433,7 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
     if x.data.ndim != 4 or k != 2 or x.shape[2] % 2 or x.shape[3] % 2:
         raise DimensionError(f"avg_pool2d takes k=2 over 4D input with even H and W, got k={k}, {x.shape}")
     a = x.data
-    # accumulated in place, so only one pooled-size temporary is alive at a time
+    # summed into `out` in place: one expression would keep more pooled-size temporaries alive at once
     out = a[..., 0::2, 0::2] + a[..., 0::2, 1::2]
     out += a[..., 1::2, 0::2] + a[..., 1::2, 1::2]
     out /= 4

@@ -25,7 +25,7 @@ from . import tensor as T
 from .datasets import ImageDataset, resolve_dataset
 from .errors import ContractError, NumericError, ValidationError
 from .fsutil import atomic_write_text
-from .views import AMIMVBatch, AugmentConfig, RngStream, augment_view, build_amimv_batch
+from .views import AugmentConfig, RngStream, augment_view, build_amimv_batch
 from .tensor import Tensor
 
 REFERENCE_BATCH = 256
@@ -161,8 +161,8 @@ class RunConfig:
             raise ValidationError("amimv mode needs batch_size >= 2")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise ValidationError(f"ema_momentum {self.ema_momentum} outside [0,1]")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**63:  # view keys pack the seed as a signed 64-bit word
+            raise ValidationError(f"seed must be >= 0 and < 2**63, got {self.seed}")
         if not self.base_lr >= 0.0:
             raise ValidationError(f"base_lr must be >= 0 (0: batch-scaled), got {self.base_lr}")
         if not 0.0 <= self.warmup_fraction <= 1.0:

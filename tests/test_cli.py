@@ -120,6 +120,7 @@ class TestPretrain:
             ["--weight_decay", "nan"],
             ["--sgd_momentum", "inf"],
             ["--warmup_start", "nan"],
+            ["--seed", "9223372036854775808"],
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, flags):
@@ -272,6 +273,14 @@ class TestProbe:
         code = main(["probe", str(tmp_path / "absent"), SMALL_SYNTH])
         assert code == 2
 
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_bad_epochs_exit_2(self, trained_run, tmp_path, capsys, epochs):
+        out = tmp_path / "out"
+        assert main(["probe", str(trained_run), SMALL_SYNTH, "--epochs", epochs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "epochs" in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def charts_dir(trained_run):
@@ -337,6 +346,16 @@ class TestSeeds:
         assert main([command, *args]) == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "pretrain"])
+    def test_negative_spec_seed_exit_2(self, tmp_path, capsys, command):
+        spec = "synthetic:C=2,counts=5:5,seed=-1"
+        out = tmp_path / "out"
+        args = [spec, "--out", str(out)] if command == "analyze" else ["--out", str(out), "--dataset", spec]
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "probe", "report"])
     @pytest.mark.parametrize("raw", ["seven", "1.5", "-3"])

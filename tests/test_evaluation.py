@@ -82,6 +82,18 @@ class TestLinearProbe:
         probe = E.linear_probe(feats, labels, E.ProbeConfig(epochs=5), num_classes=3)
         assert probe.missing_classes == [1]
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("epochs", 0), ("epochs", -3), ("batch_size", 0), ("lr", 0.0), ("lr", -1.0),
+            ("lr", float("nan")), ("lr", float("inf")), ("weight_decay", -0.1),
+            ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ],
+    )
+    def test_bad_config_rejected(self, key, value):
+        with pytest.raises(ValidationError, match=key):
+            E.ProbeConfig(**{key: value})
+
 
 class TestClassificationMetrics:
     def test_auc_rank_example(self):

@@ -344,28 +344,36 @@ def _chain_linear(x, w, b):
 
 
 @pytest.mark.parametrize(
-    "fused,chain,shapes",
+    "fused,chain,shapes,dx_rtol",
     [
         (
             lambda x, g, b: T.group_norm(x, g, b, 8, 1e-5),
             lambda x, g, b: _chain_group_norm(x, g, b, 8, 1e-5),
             [(4, 16, 7, 7), (16,), (16,)],
+            1e-5,
         ),
         (
             lambda x, g, b: T.group_norm(x, g, b, 8, 1e-5),
             lambda x, g, b: _chain_group_norm(x, g, b, 8, 1e-5),
             [(3, 8, 5, 5), (8,), (8,)],
+            1e-5,
         ),
         (
             lambda x, k, b: T.conv2d(x, k, 1, 1, bias=b),
             _chain_conv2d,
             [(4, 3, 6, 6), (8, 3, 3, 3), (8,)],
+            0.0,
         ),
-        (T.linear, _chain_linear, [(37, 12), (12, 7), (7,)]),
+        (T.linear, _chain_linear, [(37, 12), (12, 7), (7,)], 0.0),
     ],
     ids=["group_norm-2ch", "group_norm-1ch", "conv2d-bias", "linear"],
 )
-def test_fused_op_bitwise_equals_chain_float32(fused, chain, shapes):
+def test_fused_op_bitwise_equals_chain_float32(fused, chain, shapes, dx_rtol):
+    """Output and parameter gradients byte-equal to the chain; the input gradient too, unless dx_rtol > 0.
+
+    group_norm's dx is the closed form of arXiv:1803.08494, two reductions per group, so its sums run in
+    another order than the chain's backward and it is held to dx_rtol of max|dx|.
+    """
     rng = np.random.default_rng(11)
     arrays = [rng.normal(size=s).astype(np.float32) for s in shapes]
     out_shape = fused(*[T.Tensor(a) for a in arrays]).shape
@@ -380,10 +388,38 @@ def test_fused_op_bitwise_equals_chain_float32(fused, chain, shapes):
         results.append((y.data, [leaf.grad for leaf in leaves], len(tape.records)))
     (y_new, g_new, n_new), (y_old, g_old, n_old) = results
     np.testing.assert_array_equal(y_new, y_old)
-    for a, b in zip(g_new, g_old):
-        assert a.dtype == b.dtype == np.float32
-        np.testing.assert_array_equal(a, b)
+    for i, (a, b) in enumerate(zip(g_new, g_old)):
+        assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
+        if i == 0 and dx_rtol:
+            assert np.abs(a - b).max() <= dx_rtol * np.abs(b).max()
+        else:
+            np.testing.assert_array_equal(a, b)
     assert n_new < n_old
+
+
+# every group-normalized encoder activation, and two small ones
+_ENCODER_NORMS = [
+    (64, 8, 28, 28), (64, 16, 14, 14), (32, 32, 32, 32), (32, 64, 16, 16), (32, 128, 8, 8),
+    (32, 256, 4, 4), (3, 8, 5, 5), (2, 8, 1, 1),
+]
+
+
+@pytest.mark.parametrize("shape", _ENCODER_NORMS)
+def test_group_norm_float32_dx_matches_float64_chain(shape):
+    """float32 closed-form dx within 1e-5 of max|dx| of the float64 op chain on the same input."""
+    rng = np.random.default_rng(12)
+    c = shape[1]
+    arrays = [(rng.normal(size=s) * 3.0 + 1.0).astype(np.float32) for s in (shape, (c,), (c,), shape)]
+    dx = []
+    for op, dtype in ((T.group_norm, np.float32), (_chain_group_norm, np.float64)):
+        x, gamma, beta, g = (T.Tensor(a.astype(dtype), requires_grad=True) for a in arrays)
+        with T.Tape() as tape:
+            loss = T.sum_(T.mul(op(x, gamma, beta, 8, 1e-5), g))  # hands the op exactly g
+        T.backward(loss, tape)
+        dx.append(x.grad)
+    (new, want) = dx
+    assert new.dtype == np.float32 and new.shape == want.shape
+    assert np.abs(new - want).max() <= 1e-5 * np.abs(want).max()
 
 
 def test_group_norm_needs_whole_groups():
