@@ -8,10 +8,12 @@ normalization, and a max-shifted logsumexp; each encoder layer is one tape
 record. All three conv2d products are im2col GEMMs: the forward and the kernel
 gradient share one im2col matrix of the input, and the input gradient (skipped
 for an input that does not require one) correlates the dilated, padded g with
-the flipped kernel through the same im2col. Group norm's input gradient is its
-closed form, two reductions per group. Gradients are replayed in reverse
-recording order; every differentiable op is covered by finite-difference checks
-in the test suite.
+the flipped kernel through the same im2col. conv2d takes and returns NCHW, but
+its im2col gathers from a channels-last [N,H,W,C] copy with columns in
+(kh, kw, c) order, so each slice copy moves contiguous channel runs. Group
+norm's input gradient is its closed form, two reductions per group. Gradients
+are replayed in reverse recording order; every differentiable op is covered by
+finite-difference checks in the test suite.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import contextlib
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DimensionError
 
@@ -371,18 +374,15 @@ def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     ho = _conv_out_size(h, kh, stride, pad)
     wo = _conv_out_size(w, kw, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # rows (n, ho, wo), columns (c, kh, kw): the GEMM operand, filled in place
-    cols = np.empty((n, ho, wo, c, kh, kw), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = x[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-            cols[..., i, j] = patch.transpose(0, 2, 3, 1)
-    return cols.reshape(n * ho * wo, c * kh * kw)
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    # x is [N,H,W,C]; rows (n, ho, wo), columns (kh, kw, c). The window view is copied once; where x's
+    # rows are contiguous, each kernel row's (kw, c) block is one run, so the copy moves kw*c values at a time
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, kh * kw * c)
 
 
 def conv2d(
@@ -395,32 +395,38 @@ def conv2d(
     f, ck, kh, kw = kernel.shape
     if ck != c:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise DimensionError(f"conv2d stride must be an int >= 1, got {stride!r}")
+    if not isinstance(padding, (int, np.integer)) or padding < 0:
+        raise DimensionError(f"conv2d padding must be an int >= 0, got {padding!r}")
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise DimensionError(
             f"kernel {kernel.shape} larger than padded input {x.shape} (padding={padding})"
         )
     ho = _conv_out_size(h, kh, stride, padding)
     wo = _conv_out_size(w, kw, stride, padding)
-    cols = _im2col(x.data, kh, kw, stride, padding)
-    out = (cols @ kernel.data.reshape(f, -1).T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(out)
+    # _im2col works channels-last, the layout a view tensor's memory already has
+    cols = _im2col(x.data.transpose(0, 2, 3, 1), kh, kw, stride, padding)
+    out = cols @ kernel.data.transpose(0, 2, 3, 1).reshape(f, -1).T
     if bias is not None:
-        out = out + bias.data.reshape(1, f, 1, 1)
+        out += bias.data
+    out = np.ascontiguousarray(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
 
     def bwd(g):
         # g: (n,f,ho,wo)
-        dk = (g.transpose(1, 0, 2, 3).reshape(f, -1) @ cols).reshape(kernel.shape)
+        g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # one copy serves dk and the dx scatter
+        dk = (g_nhwc.reshape(-1, f).T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
         dx = None  # backward() drops the gradient of an input that does not require one
         if x.requires_grad:
             # dx correlates g, zero-dilated by the stride and padded by k-1-padding, with the flipped
             # kernel (arXiv:1603.07285); where padding > k-1 that pad is negative, and a margin of
             # eh, ew zeros lets the crop drop the rows of g that lie over the padding
             eh, ew = max(padding + 1 - kh, 0), max(padding + 1 - kw, 0)
-            gp = np.zeros((n, f, h + kh - 1 + 2 * eh, w + kw - 1 + 2 * ew), dtype=g.dtype)
+            gp = np.zeros((n, h + kh - 1 + 2 * eh, w + kw - 1 + 2 * ew, f), dtype=g.dtype)
             th, tw = kh - 1 - padding + eh, kw - 1 - padding + ew
-            gp[:, :, th : th + stride * ho : stride, tw : tw + stride * wo : stride] = g
-            gcols = _im2col(gp[:, :, eh : eh + h + kh - 1, ew : ew + w + kw - 1], kh, kw, 1, 0)
-            kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            gp[:, th : th + stride * ho : stride, tw : tw + stride * wo : stride] = g_nhwc
+            gcols = _im2col(gp[:, eh : eh + h + kh - 1, ew : ew + w + kw - 1], kh, kw, 1, 0)
+            kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
             dx = (gcols @ kflip.T).reshape(n, h, w, c).transpose(0, 3, 1, 2).astype(x.dtype, copy=False)
         grads = (dx, dk.astype(kernel.dtype, copy=False))
         return grads if bias is None else grads + (g.sum(axis=(0, 2, 3)),)

@@ -54,8 +54,12 @@ class AugmentConfig:
                 raise ValidationError(f"range ({lo}, {hi}) is not ordered")
         if self.crop_output < 1:
             raise ValidationError("crop_output must be >= 1")
-        if self.blur_kernel % 2 == 0:
-            raise ValidationError(f"blur kernel must be odd, got {self.blur_kernel}")
+        if self.blur_kernel < 1 or self.blur_kernel % 2 == 0:
+            raise ValidationError(f"blur_kernel must be odd and >= 1, got {self.blur_kernel}")
+        if not 0.0 < self.crop_scale[0] <= self.crop_scale[1] <= 1.0:
+            raise ValidationError(f"crop_scale must be lo:hi with 0 < lo <= hi <= 1, got {self.crop_scale}")
+        if not self.crop_aspect[0] > 0.0:
+            raise ValidationError(f"crop_aspect range {self.crop_aspect} must start above 0")
         if not self.blur_sigma[0] > 0.0:
             raise ValidationError(f"blur_sigma range {self.blur_sigma} must start above 0")
 

@@ -61,6 +61,19 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             T.conv2d(t(np.ones((1, 1, 3, 3))), t(np.ones((1, 1, 5, 5))))
 
+    @pytest.mark.parametrize(
+        "stride,pad,message",
+        [
+            (0, 0, "stride .*got 0"),
+            (-1, 0, "stride .*got -1"),
+            (1.5, 0, "stride .*got 1.5"),
+            (1, -1, "padding .*got -1"),
+        ],
+    )
+    def test_bad_stride_or_padding(self, stride, pad, message):
+        with pytest.raises(DimensionError, match=message):
+            T.conv2d(t(np.ones((1, 1, 4, 4))), t(np.ones((1, 1, 2, 2))), stride, pad)
+
     @pytest.mark.parametrize("h,w,kh,kw,stride,pad", [
         (5, 5, 3, 3, 1, 0), (6, 7, 3, 2, 2, 1), (4, 4, 1, 1, 1, 0), (8, 5, 3, 3, 2, 0),
     ])
@@ -529,27 +542,40 @@ _ENCODER_CONVS = [
 ]
 
 
-# dx is a correlation of g with the flipped kernel, so its sums run in another order than the reference's
+# conv2d sums its GEMMs over (kh, kw, c), the reference over (c, kh, kw), and dx is a correlation of g
+# with the flipped kernel, so output, dx and dk round in another order than the reference's
 _DX_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
 
 
-def _check_conv2d_against_reference(rng, dtype, x_shape, k_shape, stride, pad):
-    """Output, dk, db byte-equal to the reference; dx within _DX_RTOL of max|dx|."""
-    x, k = (rng.normal(size=s).astype(dtype) for s in (x_shape, k_shape))
-    b = rng.normal(size=k_shape[0]).astype(dtype)
+def _conv2d_results(x, k, b, g, stride, pad):
+    """Output and the x, kernel, bias gradients of conv2d for upstream gradient g."""
     leaves = [T.Tensor(a, requires_grad=True) for a in (x, k, b)]
     with T.Tape() as tape:
         y = T.conv2d(leaves[0], leaves[1], stride, pad, bias=leaves[2])
-        g = rng.normal(size=y.shape).astype(dtype)
         loss = T.sum_(T.mul(y, T.Tensor(g)))  # hands conv2d exactly g as its upstream gradient
     T.backward(loss, tape)
+    return [y.data] + [leaf.grad for leaf in leaves]
+
+
+def _conv2d_inputs(rng, dtype, x_shape, k_shape, stride, pad):
+    x, k = (rng.normal(size=s).astype(dtype) for s in (x_shape, k_shape))
+    b = rng.normal(size=k_shape[0]).astype(dtype)
+    ho = (x_shape[2] + 2 * pad - k_shape[2]) // stride + 1
+    wo = (x_shape[3] + 2 * pad - k_shape[3]) // stride + 1
+    g = rng.normal(size=(x_shape[0], k_shape[0], ho, wo)).astype(dtype)
+    return x, k, b, g
+
+
+def _check_conv2d_against_reference(rng, dtype, x_shape, k_shape, stride, pad):
+    """db byte-equal to the reference; output, dx and dk within _DX_RTOL of their max magnitude."""
+    x, k, b, g = _conv2d_inputs(rng, dtype, x_shape, k_shape, stride, pad)
     out, dx, dk, db = _reference_conv2d(x, k, b, stride, pad, g)
-    for got, want in zip([y.data] + [leaf.grad for leaf in leaves], [out, dx, dk, db]):
+    for got, want in zip(_conv2d_results(x, k, b, g, stride, pad), [out, dx, dk, db]):
         assert got.dtype == dtype and got.shape == want.shape
-        if want is dx:
-            assert np.abs(got - want).max() <= _DX_RTOL[dtype] * np.abs(want).max()
-        else:
+        if want is db:
             np.testing.assert_array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= _DX_RTOL[dtype] * np.abs(want).max()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -587,3 +613,27 @@ def test_conv2d_skips_gradient_of_constant_input():
     np.testing.assert_array_equal(db, db_const)
     # on the last tape (x without grad) the conv record returns no input gradient at all
     assert tape.records[0].backward_fn(g)[0] is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS)
+def test_conv2d_same_bytes_for_nchw_and_nhwc_memory(dtype, x_shape, k_shape, stride, pad):
+    """A view tensor holds [N,H,W,C] memory behind its NCHW shape; conv2d's results must not depend on it."""
+    x, k, b, g = _conv2d_inputs(np.random.default_rng(13), dtype, x_shape, k_shape, stride, pad)
+    x_nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    assert x_nhwc.strides[1] == x.itemsize or x_shape[1] == 1  # channels innermost (c = 1: both layouts)
+    want_all = _conv2d_results(x, k, b, g, stride, pad)
+    for got, want in zip(_conv2d_results(x_nhwc, k, b, g, stride, pad), want_all):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS[:16])
+def test_conv2d_float32_matches_float64(x_shape, k_shape, stride, pad):
+    """On every encoder conv, the float32 output and gradients are within 1e-5 of max|.| of float64's."""
+    inputs = _conv2d_inputs(np.random.default_rng(14), np.float32, x_shape, k_shape, stride, pad)
+    got = _conv2d_results(*inputs, stride, pad)
+    want = _conv2d_results(*(a.astype(np.float64) for a in inputs), stride, pad)
+    for a, b in zip(got, want):
+        assert a.dtype == np.float32 and a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()

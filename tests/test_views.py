@@ -81,6 +81,25 @@ class TestGaussianKernel:
             V.AugmentConfig(blur_sigma=sigma)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("blur_kernel", -1),
+        ("blur_kernel", 0),
+        ("blur_kernel", -3),
+        ("crop_aspect", (0.0, 1.0)),
+        ("crop_aspect", (-1.0, 1.0)),
+        ("crop_scale", (-1.0, 1.0)),
+        ("crop_scale", (0.0, 1.0)),
+        ("crop_scale", (0.5, 1.5)),
+        ("crop_scale", (float("nan"), 1.0)),
+    ],
+)
+def test_augment_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValidationError, match=field):
+        V.AugmentConfig(**{field: value})
+
+
 class TestAugmentView:
     def test_identity_configuration(self):
         img = gray_image(16, seed=3)
