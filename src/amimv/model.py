@@ -216,7 +216,7 @@ def ema_update(pair: EncoderPair) -> None:
     m = pair.momentum
     for name, q in pair.q_params.items():
         k = pair.k_params[name]
-        k.data = (m * k.data + (1.0 - m) * q.data).astype(np.float32)
+        k.data = (m * k.data + (1.0 - m) * q.data).astype(np.float32, copy=False)
 
 
 def save_checkpoint(pair: EncoderPair, directory: str) -> None:

@@ -93,7 +93,7 @@ def sgd_step(params: dict[str, Tensor], state: OptimState, lr: float) -> None:
         v = state._buf(name, "v", p.data)
         v *= state.momentum
         v += p.grad
-        p.data = (p.data - lr * (v + state.weight_decay * p.data)).astype(p.dtype)
+        p.data = (p.data - lr * (v + state.weight_decay * p.data)).astype(p.dtype, copy=False)
         p.grad = None
     state.t += 1
 
