@@ -9,11 +9,11 @@ record. All three conv2d products are im2col GEMMs: the forward and the kernel
 gradient share one im2col matrix of the input, and the input gradient (skipped
 for an input that does not require one) correlates the dilated, padded g with
 the flipped kernel through the same im2col. conv2d takes and returns NCHW, but
-its im2col gathers from a channels-last [N,H,W,C] copy with columns in
-(kh, kw, c) order, so each slice copy moves contiguous channel runs. Group
-norm's input gradient is its closed form, two reductions per group. Gradients
-are replayed in reverse recording order; every differentiable op is covered by
-finite-difference checks in the test suite.
+its im2col gathers a channels-last [N,H,W,C] copy with columns in (kh, kw, c)
+order, one window-view copy that moves each kernel row's (kw, c) block as one
+run. Group norm's input gradient is its closed form, two reductions per group.
+Gradients are replayed in reverse recording order; every differentiable op is
+covered by finite-difference checks in the test suite.
 """
 
 from __future__ import annotations
