@@ -116,7 +116,7 @@ def adamw_step(params: dict[str, Tensor], state: OptimState, lr: float) -> None:
         vhat = v / (1 - b2**t)
         p.data = (
             p.data - lr * mhat / (np.sqrt(vhat) + state.eps) - lr * state.weight_decay * p.data
-        ).astype(p.dtype)
+        ).astype(p.dtype, copy=False)
         p.grad = None
 
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from amimv import evaluation as E
 from amimv import model as M
+from amimv import tensor as T
 from amimv.datasets import make_synthetic_longtail
 from amimv.errors import ValidationError
+from amimv.trainer import OptimState, adamw_step
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +50,52 @@ class TestExtractFeatures:
             E.extract_features(pair, ds, "dev")
 
 
+def _tape_probe(features, labels, config, num_classes=None):
+    """The probe as a tape-recorded chain: linear, logsumexp - sum(mul), mean, backward."""
+    n, d = features.shape
+    c = num_classes or int(labels.max()) + 1
+    x = features.astype(np.float32)
+    w = T.Tensor(np.zeros((d, c), dtype=np.float32), requires_grad=True)
+    b = T.Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
+    onehot = np.eye(c, dtype=np.float32)[labels]
+    opt = OptimState(weight_decay=config.weight_decay)
+    rng = np.random.default_rng(np.random.PCG64(config.seed))
+    for epoch in range(config.epochs):
+        lr = E._probe_lr(epoch, config.epochs, config.lr)
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            with T.Tape() as tape:
+                logits = T.linear(T.Tensor(x[idx]), w, b)
+                nll = T.sub(T.logsumexp(logits), T.sum_(T.mul(logits, T.Tensor(onehot[idx])), axis=1))
+                loss = T.mean(nll)
+            T.backward(loss, tape)
+            adamw_step({"w": w, "b": b}, opt, lr)
+    return w.data.astype(np.float64), b.data.astype(np.float64)
+
+
 class TestLinearProbe:
+    @pytest.mark.parametrize(
+        "n,d,labels_c,num_classes,config",
+        [
+            (256, 16, 4, 4, E.ProbeConfig(epochs=6, batch_size=64, seed=1)),  # n % batch == 0
+            (129, 8, 3, 3, E.ProbeConfig(epochs=8, batch_size=32, seed=2)),  # partial last batch
+            (300, 16, 7, 7, E.ProbeConfig(epochs=5, weight_decay=1e-3, seed=3)),
+            (90, 12, 3, 5, E.ProbeConfig(epochs=6, batch_size=40, seed=4)),  # classes 3, 4 absent
+            (61, 32, 4, None, E.ProbeConfig(epochs=10, batch_size=16, seed=5)),
+        ],
+        ids=["full-batches", "partial-batch", "weight-decay", "missing-class", "inferred-classes"],
+    )
+    def test_bitwise_equal_to_tape_reference(self, n, d, labels_c, num_classes, config):
+        rng = np.random.default_rng(n)
+        labels = rng.integers(0, labels_c, size=n)
+        feats = rng.normal(size=(n, d)) + labels[:, None]
+        got = E.linear_probe(feats, labels, config, num_classes=num_classes)
+        weights, bias = _tape_probe(feats, labels, config, num_classes=num_classes)
+        assert got.weights.shape == (d, num_classes or labels.max() + 1)
+        assert np.array_equal(got.weights, weights)
+        assert np.array_equal(got.bias, bias)
+
     def test_separable_features_reach_full_accuracy(self):
         rng = np.random.default_rng(0)
         n = 80
