@@ -87,6 +87,8 @@ def extract_features(
     if split not in dataset.splits:
         raise ValidationError(f"unknown split {split!r}; have {sorted(dataset.splits)}")
     images, labels = dataset.splits[split]
+    if images.shape[0] == 0:
+        raise ValidationError(f"split {split!r} of {dataset.name} has no images")
     chunks = []
     for start in range(0, images.shape[0], batch_size):
         views = normalize_view(images[start : start + batch_size], dataset.channel_stats, pair.config.input_size)

@@ -49,19 +49,16 @@ class AugmentConfig:
         for p in (self.jitter_probability, self.flip_probability, self.blur_probability):
             if not 0.0 <= p <= 1.0:
                 raise ValidationError(f"probability {p} outside [0,1]")
-        for lo, hi in (self.crop_scale, self.crop_aspect, self.blur_sigma):
-            if lo > hi:
-                raise ValidationError(f"range ({lo}, {hi}) is not ordered")
+        for name in ("crop_scale", "crop_aspect", "blur_sigma"):
+            lo, hi = getattr(self, name)
+            if not 0.0 < lo <= hi:
+                raise ValidationError(f"{name} range ({lo}, {hi}) must be ordered and start above 0")
+        if not self.crop_scale[1] <= 1.0:
+            raise ValidationError(f"crop_scale range {self.crop_scale} must end at or below 1")
         if self.crop_output < 1:
             raise ValidationError("crop_output must be >= 1")
         if self.blur_kernel < 1 or self.blur_kernel % 2 == 0:
             raise ValidationError(f"blur_kernel must be odd and >= 1, got {self.blur_kernel}")
-        if not 0.0 < self.crop_scale[0] <= self.crop_scale[1] <= 1.0:
-            raise ValidationError(f"crop_scale must be lo:hi with 0 < lo <= hi <= 1, got {self.crop_scale}")
-        if not self.crop_aspect[0] > 0.0:
-            raise ValidationError(f"crop_aspect range {self.crop_aspect} must start above 0")
-        if not self.blur_sigma[0] > 0.0:
-            raise ValidationError(f"blur_sigma range {self.blur_sigma} must start above 0")
 
 
 @dataclass

@@ -273,6 +273,24 @@ class TestProbe:
         code = main(["probe", str(tmp_path / "absent"), SMALL_SYNTH])
         assert code == 2
 
+    def test_empty_test_split_exit_3(self, tmp_path, capsys):
+        from amimv import model as M
+        from amimv.datasets import make_synthetic_longtail, save_npz
+
+        ds = make_synthetic_longtail(2, [40, 24], image_size=16, seed=0)
+        images, labels = ds.splits["test"]
+        ds.splits["test"] = (images[:0], labels[:0])
+        data = tmp_path / "empty_test.npz"
+        save_npz(ds, str(data))
+        cfg = M.EncoderConfig(arch="tiny", input_channels=1, input_size=16)
+        M.save_checkpoint(M.init_pair(cfg, seed=0), str(tmp_path / "run"))
+        out = tmp_path / "out"
+        assert main(["probe", str(tmp_path / "run"), str(data), "--epochs", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'test'" in err and "no images" in err
+        assert not any((d / name).exists() for d in (out, tmp_path / "run")
+                       for name in ("eval.json", "eval.csv", "confusion.csv"))
+
     @pytest.mark.parametrize("epochs", ["0", "-3"])
     def test_bad_epochs_exit_2(self, trained_run, tmp_path, capsys, epochs):
         out = tmp_path / "out"
