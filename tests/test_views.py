@@ -93,18 +93,13 @@ class TestGaussianKernel:
         ("crop_scale", (0.0, 1.0)),
         ("crop_scale", (0.5, 1.5)),
         ("crop_scale", (float("nan"), 1.0)),
+        ("crop_scale", (0.8, 0.5)),  # unordered ranges name their field
+        ("crop_aspect", (1.2, 0.9)),
+        ("blur_sigma", (1.0, 0.5)),
     ],
 )
 def test_augment_config_rejects_out_of_range(field, value):
     with pytest.raises(ValidationError, match=field):
-        V.AugmentConfig(**{field: value})
-
-
-@pytest.mark.parametrize(
-    "field,value", [("crop_scale", (0.8, 0.5)), ("crop_aspect", (1.2, 0.9)), ("blur_sigma", (1.0, 0.5))]
-)
-def test_augment_config_unordered_range_names_field(field, value):
-    with pytest.raises(ValidationError, match=rf"^{field} range \({value[0]}, {value[1]}\) must be ordered"):
         V.AugmentConfig(**{field: value})
 
 
