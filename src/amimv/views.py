@@ -4,13 +4,17 @@ Every image contributes two views: a deterministic z-score-normalized
 view, and a stochastically augmented view (color jitter, random resized
 crop, horizontal flip, Gaussian blur). Views are built per batch: both
 pipelines take `[N,H,W]` or `[N,H,W,C]` uint8 images and return one
-`[N,C,S,S]` tensor. Only the per-image parameter draws run in a loop;
-the pixel work runs on the whole batch. Batches pair each anchor with a
-distinct counterpart image through a random derangement.
+`[N,C,S,S]` tensor, and neither loops over images: a batch's augmentation
+parameters are one array of draws and the pixel work runs on the whole
+batch. Batches pair each anchor with a distinct counterpart image through
+a random derangement.
 
-All randomness flows through counter-based substreams keyed by
-(epoch, batch, item, transform), so results are independent of
-evaluation order and of how images are grouped into batches.
+Augmentation draws come from a counter-based hash (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) built on the
+SplitMix64 finalizer (Steele et al., OOPSLA'14) and keyed by (seed, epoch,
+batch, item, branch, slot); the shuffle and the pairing use one keyed
+generator each. Results are independent of evaluation order and
+of how images are grouped into batches.
 """
 
 from __future__ import annotations
@@ -72,6 +76,33 @@ class AMIMVBatch:
     pairing: np.ndarray
 
 
+_MASK = (1 << 64) - 1
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer on a uint64 array (wrapping arithmetic)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _absorb(state: np.ndarray, word) -> np.ndarray:
+    """XOR one key word (an int taken mod 2**64, or a uint64 array) into the
+    state, then take one SplitMix64 step: add the gamma and finalize."""
+    if not isinstance(word, np.ndarray):
+        word = np.uint64(int(word) & _MASK)
+    return _mix64((state ^ word) + _GAMMA)
+
+
+def uniforms(keys: np.ndarray, slots: int) -> np.ndarray:
+    """``[N, slots]`` float64 draws in [0, 1): slot j of key k is the top 53
+    bits of SplitMix64's (j+1)-th output from state k."""
+    steps = _GAMMA * np.arange(1, slots + 1, dtype=np.uint64)
+    bits = _mix64(np.asarray(keys, dtype=np.uint64)[:, None] + steps) >> np.uint64(11)
+    return bits * 2.0**-53
+
+
 class RngStream:
     """Counter-based substreams: same key, same draws, any order."""
 
@@ -84,9 +115,14 @@ class RngStream:
         words = struct.unpack("<2Q", digest)
         return np.random.Generator(np.random.Philox(key=words))
 
-    def items(self, n: int, epoch: int, batch: int, branch: int) -> list[np.random.Generator]:
-        """One generator per batch item, keyed (epoch, batch, item, branch)."""
-        return [self.generator(epoch, batch, i, branch) for i in range(n)]
+    def items(self, n: int, epoch: int, batch: int, branch: int) -> np.ndarray:
+        """``[n]`` uint64 keys, one per batch item, hashed from
+        (seed, epoch, batch, item, branch) in that order; feed them to
+        `uniforms`. Slicing the keys selects items."""
+        state = np.zeros(n, dtype=np.uint64)
+        for word in (self.seed, epoch, batch, np.arange(n, dtype=np.uint64), branch):
+            state = _absorb(state, word)
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -94,48 +130,64 @@ class RngStream:
 # a factor is one scalar for all images or one per image, shaped [N,1,1,1]
 
 
+def _interpolation_matrix(start, extent, out: int, size: int) -> np.ndarray:
+    """``[N, out, size]`` half-pixel-center bilinear weights that resample
+    ``extent`` pixels from ``start`` (both ``[N, 1]``) of an axis of
+    ``size`` pixels to ``out``; each row holds the two taps of one output."""
+    pos = (np.arange(out) + 0.5) * extent / out - 0.5
+    i0 = np.clip(np.floor(pos).astype(int), 0, extent - 1)
+    i1 = np.minimum(i0 + 1, extent - 1)
+    wt = np.clip(pos - i0, 0.0, 1.0)
+    near = np.zeros(i0.shape + (size,))
+    far = np.zeros(i0.shape + (size,))
+    np.put_along_axis(near, (start + i0)[..., None], (1 - wt)[..., None], axis=-1)
+    np.put_along_axis(far, (start + i1)[..., None], wt[..., None], axis=-1)
+    return near + far
+
+
+def crop_matrices(boxes, out_h: int, out_w: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``[N, out_h, h]`` and column ``[N, out_w, w]`` matrices that
+    resample box ``(top, left, height, width)`` of each ``h x w`` image to
+    ``out_h x out_w`` with half-pixel-center bilinear weights."""
+    top, left, box_h, box_w = np.asarray(boxes).T[:, :, None]
+    return _interpolation_matrix(top, box_h, out_h, h), _interpolation_matrix(left, box_w, out_w, w)
+
+
+def apply_separable(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``rows[n] @ x[n, :, :, c] @ cols[n].T`` for each image n and channel c
+    of ``[N,H,W,C]`` images, as two batched matmuls."""
+    n, h, w, c = x.shape
+    out_w = cols.shape[1]
+    x = x.transpose(0, 1, 3, 2).reshape(n, h * c, w) @ cols.transpose(0, 2, 1)
+    x = rows @ x.reshape(n, h, c * out_w)
+    return x.reshape(n, -1, c, out_w).transpose(0, 1, 3, 2)
+
+
 def bilinear_resize(x: np.ndarray, boxes: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resample box ``(top, left, height, width)`` of each image to
-    ``out_h x out_w`` with half-pixel-center bilinear weights; a whole-image
-    box at the same size is the identity."""
-
-    def taps(start, extent, out):
-        pos = (np.arange(out) + 0.5) * extent / out - 0.5
-        i0 = np.clip(np.floor(pos).astype(int), 0, extent - 1)
-        i1 = np.minimum(i0 + 1, extent - 1)
-        return start + i0, start + i1, np.clip(pos - i0, 0.0, 1.0)
-
-    top, left, h, w = np.asarray(boxes).T[:, :, None]
-    y0, y1, wy = taps(top, h, out_h)
-    x0, x1, wx = taps(left, w, out_w)
-    n = np.arange(x.shape[0])[:, None, None]
-    y0, y1, x0, x1 = y0[:, :, None], y1[:, :, None], x0[:, None], x1[:, None]
-    wy, wx = wy[:, :, None, None], wx[:, None, :, None]
-    upper = x[n, y0, x0] * (1 - wx) + x[n, y0, x1] * wx
-    lower = x[n, y1, x0] * (1 - wx) + x[n, y1, x1] * wx
-    return upper * (1 - wy) + lower * wy
+    ``out_h x out_w``; a whole-image box at the same size is the identity."""
+    return apply_separable(x, *crop_matrices(boxes, out_h, out_w, x.shape[1], x.shape[2]))
 
 
-def gaussian_weights(sigma: float, k: int) -> np.ndarray:
-    """Normalized 1-D Gaussian weights over the k integer offsets around 0.
-    ``sigma`` is one Python float: its ``sigma**2`` (libm ``pow``) and a NumPy
-    array square round differently for about 1 value in 1000."""
+def gaussian_weights(sigma, k: int) -> np.ndarray:
+    """Normalized 1-D Gaussian weights over the k integer offsets around 0,
+    one row ``[..., k]`` per entry of ``sigma``."""
     r = k // 2
     ax = np.arange(-r, r + 1, dtype=np.float64)
-    w = np.exp(-(ax**2) / (2.0 * sigma**2))
-    return w / w.sum()
+    w = np.exp(-(ax**2) / (2.0 * np.square(np.asarray(sigma, dtype=np.float64))[..., None]))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def gaussian_blur(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Separable blur of each image with its own row of 1-D ``weights``
-    [N,k] from ``gaussian_weights``, with reflect padding."""
-    k = weights.shape[1]
-    r = k // 2
-    w = weights[:, :, None, None, None]
-    padded = np.pad(x, ((0, 0), (r, r), (0, 0), (0, 0)), mode="reflect")
-    out = sum(w[:, i] * padded[:, i : i + x.shape[1]] for i in range(k))
-    padded = np.pad(out, ((0, 0), (0, 0), (r, r), (0, 0)), mode="reflect")
-    return sum(w[:, i] * padded[:, :, i : i + x.shape[2]] for i in range(k))
+def blur_matrix(weights: np.ndarray, size: int) -> np.ndarray:
+    """``[N, size, size]``: each image's 1-D blur with its row of ``weights``
+    [N,k] under reflect padding (edge pixel not repeated), as a matrix; the
+    separable 2-D blur applies it along rows and along columns."""
+    r = weights.shape[1] // 2
+    period = max(2 * (size - 1), 1)
+    src = np.abs(np.arange(size)[:, None] + np.arange(-r, r + 1)) % period
+    src = np.where(src >= size, period - src, src)  # [size, k]: the pixel each tap reads
+    taps = (src.T[:, :, None] == np.arange(size)).astype(np.float64)  # [k, size, size]
+    return (weights @ taps.reshape(len(taps), -1)).reshape(-1, size, size)
 
 
 def _rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
@@ -221,51 +273,65 @@ def normalize_view(images: np.ndarray, stats, size: int) -> Tensor:
     return _to_tensor(x, stats)
 
 
-def _sample_crop(rng: np.random.Generator, h: int, w: int, config: AugmentConfig):
-    area = h * w
-    for _ in range(10):
-        frac = rng.uniform(*config.crop_scale)
-        log_lo, log_hi = np.log(config.crop_aspect[0]), np.log(config.crop_aspect[1])
-        aspect = np.exp(rng.uniform(log_lo, log_hi))
-        target = frac * area
-        cw = int(round(np.sqrt(target * aspect)))
-        ch = int(round(np.sqrt(target / aspect)))
-        if 0 < cw <= w and 0 < ch <= h:
-            top = int(rng.integers(0, h - ch + 1))
-            left = int(rng.integers(0, w - cw + 1))
-            return top, left, ch, cw
-    # fallback: center crop of the largest in-range square
+# one row of uniforms per image: jitter gate, four jitter factors, four
+# order keys, flip gate, blur sigma, blur gate, then the crop: scale and
+# aspect for each try, and one top and one left for the try that is kept
+_CROP_TRIES = 10
+_JITTER, _FACTORS, _ORDER, _FLIP, _SIGMA, _BLUR, _SCALE = 0, 1, 5, 9, 10, 11, 12
+_ASPECT = _SCALE + _CROP_TRIES
+_TOP = _ASPECT + _CROP_TRIES
+_LEFT = _TOP + 1
+_SLOTS = _LEFT + 1
+
+
+def _span(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return lo + (hi - lo) * u
+
+
+def _crop_boxes(u: np.ndarray, h: int, w: int, config: AugmentConfig) -> np.ndarray:
+    """``[N, 4]`` (top, left, height, width): the first of the tries whose
+    scale and aspect fit the image, else the centre crop of the largest
+    square."""
+    target = _span(u[:, _SCALE:_ASPECT], *config.crop_scale) * (h * w)
+    aspect = np.exp(_span(u[:, _ASPECT:_TOP], *np.log(config.crop_aspect)))
+    cw = np.rint(np.sqrt(target * aspect)).astype(int)
+    ch = np.rint(np.sqrt(target / aspect)).astype(int)
+    fits = (cw > 0) & (cw <= w) & (ch > 0) & (ch <= h)
+    first = fits.argmax(axis=1)[:, None]
     side = min(h, w)
-    return (h - side) // 2, (w - side) // 2, side, side
+    found = fits.any(axis=1)
+    ch = np.where(found, np.take_along_axis(ch, first, 1)[:, 0], side)
+    cw = np.where(found, np.take_along_axis(cw, first, 1)[:, 0], side)
+    # u * m rounds up to m for u just below 1, hence the minimum
+    top = np.minimum(np.floor(u[:, _TOP] * (h - ch + 1)).astype(int), h - ch)
+    left = np.minimum(np.floor(u[:, _LEFT] * (w - cw + 1)).astype(int), w - cw)
+    top = np.where(found, top, (h - side) // 2)
+    left = np.where(found, left, (w - side) // 2)
+    return np.stack([top, left, ch, cw], axis=1)
 
 
-def augment_view(images: np.ndarray, stats, config: AugmentConfig, rngs) -> Tensor:
+def augment_view(images: np.ndarray, stats, config: AugmentConfig, keys: np.ndarray) -> Tensor:
     """Apply jitter, random resized crop, flip, and blur, then standardize.
 
-    ``rngs`` holds one generator per image. Each image draws its parameters
-    from its own generator in a fixed order regardless of which transforms
-    fire, so its view does not depend on the rest of the batch.
+    ``keys`` holds one uint64 key per image, from `RngStream.items`. All
+    parameters come from one ``[N, slots]`` array of `uniforms`, each row
+    from its image's own key and each slot drawn whether or not its
+    transform fires, so a view does not depend on the rest of the batch.
     """
     x = _to_float_nhwc(images)
     n, h, w, _ = x.shape
-    if len(rngs) != n:
-        raise ContractError(f"augment_view got {len(rngs)} generators for {n} images")
-
-    def draw(rng):
-        jitter = rng.uniform() < config.jitter_probability
-        factors = (
-            rng.uniform(1 - config.jitter_brightness, 1 + config.jitter_brightness),
-            rng.uniform(1 - config.jitter_contrast, 1 + config.jitter_contrast),
-            rng.uniform(1 - config.jitter_saturation, 1 + config.jitter_saturation),
-            rng.uniform(-config.jitter_hue, config.jitter_hue),
-        )
-        order = rng.permutation(4)
-        box = _sample_crop(rng, h, w, config)
-        flip = rng.uniform() < config.flip_probability
-        weights = gaussian_weights(rng.uniform(*config.blur_sigma), config.blur_kernel)
-        return jitter, factors, order, box, flip, weights, rng.uniform() < config.blur_probability
-
-    jitter, factors, order, boxes, flip, weights, blur = map(np.array, zip(*map(draw, rngs)))
+    if len(keys) != n:
+        raise ContractError(f"augment_view got {len(keys)} keys for {n} images")
+    u = uniforms(keys, _SLOTS)
+    jitter = u[:, _JITTER] < config.jitter_probability
+    # brightness, contrast and saturation factors around 1, a hue shift around 0
+    magnitude = np.array(
+        [config.jitter_brightness, config.jitter_contrast, config.jitter_saturation, config.jitter_hue]
+    )
+    factors = np.array([1.0, 1.0, 1.0, 0.0]) + magnitude * (2.0 * u[:, _FACTORS:_ORDER] - 1.0)
+    order = np.argsort(u[:, _ORDER:_FLIP], axis=1)
+    flip = u[:, _FLIP] < config.flip_probability
+    blur = u[:, _BLUR] < config.blur_probability
 
     # 1. color jitter: the four sub-transforms in each image's own order
     steps = (adjust_brightness, adjust_contrast, adjust_saturation, adjust_hue)
@@ -275,12 +341,17 @@ def augment_view(images: np.ndarray, stats, config: AugmentConfig, rngs) -> Tens
             if sel.any():
                 x[sel] = step(x[sel], factors[sel, j][:, None, None, None])
 
-    # 2. random resized crop, 3. horizontal flip, 4. Gaussian blur
-    x = bilinear_resize(x, boxes, config.crop_output, config.crop_output)
-    x[flip] = x[flip, :, ::-1]
-    if blur.any():
-        x[blur] = gaussian_blur(x[blur], weights[blur])
-    return _to_tensor(x, stats if config.standardize_augmented else None)
+    # 2. random resized crop, 3. horizontal flip, 4. Gaussian blur: each is
+    # linear along rows and along columns, so together they are one row and
+    # one column matrix per image
+    size = config.crop_output
+    rows, cols = crop_matrices(_crop_boxes(u, h, w, config), size, size, h, w)
+    cols[flip] = cols[flip, ::-1]
+    sigma = _span(u[blur, _SIGMA], *config.blur_sigma)
+    kernel = blur_matrix(gaussian_weights(sigma, config.blur_kernel), size)
+    rows[blur] = kernel @ rows[blur]
+    cols[blur] = kernel @ cols[blur]
+    return _to_tensor(apply_separable(x, rows, cols), stats if config.standardize_augmented else None)
 
 
 def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:

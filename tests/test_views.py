@@ -71,6 +71,20 @@ class TestGaussianKernel:
         w = V.gaussian_weights(0.8, 5)
         np.testing.assert_allclose(w, w[::-1], atol=1e-15)
 
+    @pytest.mark.parametrize("size,k", [(28, 3), (5, 3), (3, 7), (1, 3), (6, 1)])
+    def test_blur_matrix_matches_padded_blur(self, size, k):
+        # reference: shift-and-add over a reflect-padded copy, rows then columns
+        rng = np.random.default_rng(size * k)
+        x = rng.uniform(size=(4, size, size, 2))
+        weights = V.gaussian_weights(rng.uniform(0.3, 3.0, 4), k)
+        w, r = weights[:, :, None, None, None], k // 2
+        padded = np.pad(x, ((0, 0), (r, r), (0, 0), (0, 0)), mode="reflect")
+        ref = sum(w[:, i] * padded[:, i : i + size] for i in range(k))
+        padded = np.pad(ref, ((0, 0), (0, 0), (r, r), (0, 0)), mode="reflect")
+        ref = sum(w[:, i] * padded[:, :, i : i + size] for i in range(k))
+        m = V.blur_matrix(weights, size)
+        np.testing.assert_allclose(V.apply_separable(x, m, m), ref, rtol=0, atol=1e-14)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValidationError):
             V.AugmentConfig(blur_kernel=4)
@@ -115,17 +129,16 @@ class TestAugmentView:
     def test_keyed_determinism(self):
         img = gray_image(16, seed=4)
         cfg = V.AugmentConfig(crop_output=16)
-        stream = V.RngStream(42)
-        a = V.augment_view(img, GRAY_STATS, cfg, [stream.generator(1, 2, 3, 1)])
-        b = V.augment_view(img, GRAY_STATS, cfg, [stream.generator(1, 2, 3, 1)])
+        a = V.augment_view(img, GRAY_STATS, cfg, V.RngStream(42).items(4, 1, 2, 1)[3:])
+        b = V.augment_view(img, GRAY_STATS, cfg, V.RngStream(42).items(4, 1, 2, 1)[3:])
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_different_keys_differ(self):
         img = gray_image(16, seed=4)
         cfg = V.AugmentConfig(crop_output=16)
-        stream = V.RngStream(42)
-        a = V.augment_view(img, GRAY_STATS, cfg, [stream.generator(1, 2, 3, 1)])
-        b = V.augment_view(img, GRAY_STATS, cfg, [stream.generator(1, 2, 4, 1)])
+        keys = V.RngStream(42).items(5, 1, 2, 1)
+        a = V.augment_view(img, GRAY_STATS, cfg, keys[3:4])
+        b = V.augment_view(img, GRAY_STATS, cfg, keys[4:5])
         assert not np.array_equal(a.data, b.data)
 
     def test_double_flip_is_identity(self):
@@ -159,7 +172,7 @@ class TestAugmentView:
     )
     @settings(max_examples=40, deadline=None)
     def test_batch_rows_match_single_image_calls(self, n, channels, probs, seed):
-        # each image's view depends only on its own generator, not on the batch
+        # each image's view depends only on its own key, not on the batch
         rng = np.random.default_rng(seed)
         shape = (n, 12, 12) if channels == 1 else (n, 12, 12, 3)
         images = rng.integers(0, 256, size=shape, dtype=np.uint8)
@@ -168,17 +181,90 @@ class TestAugmentView:
             crop_output=10, jitter_probability=probs[0], flip_probability=probs[1],
             blur_probability=probs[2], jitter_saturation=0.5, jitter_hue=0.2,
         )
-        stream = V.RngStream(seed)
-        batch = V.augment_view(images, stats, cfg, stream.items(n, 0, 0, 1)).data
+        keys = V.RngStream(seed).items(n, 0, 0, 1)
+        batch = V.augment_view(images, stats, cfg, keys).data
         assert batch.shape == (n, channels, 10, 10)
-        for i, item_rng in enumerate(stream.items(n, 0, 0, 1)):
-            single = V.augment_view(images[i : i + 1], stats, cfg, [item_rng]).data
+        for i in range(n):
+            single = V.augment_view(images[i : i + 1], stats, cfg, keys[i : i + 1]).data
             assert batch[i : i + 1].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("shape,aspect", [((12, 16), 4.0), ((16, 12), 0.25)])
+    def test_crop_falls_back_to_centre_square(self, shape, aspect):
+        # no try fits at scale 1 and this aspect: the crop is the centre
+        # 12x12 square, resampled at its own size (the identity)
+        images = np.random.default_rng(9).integers(0, 256, size=(3, *shape), dtype=np.uint8)
+        cfg = V.AugmentConfig(**{**identity_config(12).__dict__, "crop_aspect": (aspect, aspect)})
+        out = V.augment_view(images, GRAY_STATS, cfg, V.RngStream(0).items(3, 0, 0, 1))
+        top, left = (shape[0] - 12) // 2, (shape[1] - 12) // 2
+        expected = V.normalize_view(images[:, top : top + 12, left : left + 12], GRAY_STATS, 12)
+        np.testing.assert_array_equal(out.data, expected.data)
 
     def test_grayscale_hue_saturation_noop(self):
         img = (gray_image(12, seed=8).astype(np.float64) / 255.0)[..., None]
         np.testing.assert_array_equal(V.adjust_hue(img, 0.01), img)
         np.testing.assert_array_equal(V.adjust_saturation(img, 1.1), img)
+
+
+# pure-Python reference of the counter hash: SplitMix64 on Python ints
+MASK = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def ref_mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def ref_key(seed, epoch, batch, item, branch):
+    state = 0
+    for word in (seed, epoch, batch, item, branch):
+        state = ref_mix(((state ^ (word & MASK)) + GAMMA) & MASK)
+    return state
+
+
+def ref_uniform(key, slot):
+    return (ref_mix((key + (slot + 1) * GAMMA) & MASK) >> 11) * 2.0**-53
+
+
+class TestCounterHash:
+    def test_known_answers(self):
+        # slots from key 0 are the published SplitMix64 outputs from state 0
+        expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        bits = V.uniforms(np.zeros(1, np.uint64), 3)[0] * 2.0**53
+        assert bits.tolist() == [float(e >> 11) for e in expected]
+        # the key of seed 0, epoch 0, batch 0, item 0, branch 1 fixes every view
+        assert ref_key(0, 0, 0, 0, 1) == V.RngStream(0).items(1, 0, 0, 1)[0] == 11949023478716900198
+
+    @pytest.mark.parametrize(
+        "seed,epoch,batch,branch",
+        [(0, 0, 0, 1), (12345, 3, 7, 2), (2**63 + 5, 1, -1, 0), (-4, 50, 2**40, 1)],
+    )
+    def test_keys_and_uniforms_match_reference(self, seed, epoch, batch, branch):
+        keys = V.RngStream(seed).items(6, epoch, batch, branch)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [ref_key(seed, epoch, batch, i, branch) for i in range(6)]
+        u = V.uniforms(keys, 5)
+        assert u.tolist() == [[ref_uniform(k, j) for j in range(5)] for k in keys.tolist()]
+
+    def test_keys_differ_across_items_and_branches(self):
+        stream = V.RngStream(1)
+        keys = np.concatenate([stream.items(512, 2, 3, b) for b in (1, 2)])
+        assert len(np.unique(keys)) == keys.size
+
+    def test_uniformity(self):
+        u = V.uniforms(V.RngStream(3).items(1000, 0, 0, 1), 1000)
+        assert u.min() >= 0.0 and u.max() < 1.0
+        flat = u.ravel()
+        # 1e6 draws: the standard error of the mean is 2.9e-4, of the variance 7.5e-5
+        assert abs(flat.mean() - 0.5) < 1.5e-3
+        assert abs(flat.var() - 1 / 12) < 4e-4
+        counts = np.bincount((flat * 100).astype(int), minlength=100)
+        chi2 = ((counts - 1e4) ** 2 / 1e4).sum()
+        assert chi2 < 99 + 6 * np.sqrt(2 * 99)  # 99 degrees of freedom
+        # neighbouring slots and neighbouring items are uncorrelated
+        assert abs(np.corrcoef(u[:, :-1].ravel(), u[:, 1:].ravel())[0, 1]) < 5e-3
+        assert abs(np.corrcoef(u[:-1].ravel(), u[1:].ravel())[0, 1]) < 5e-3
 
 
 class TestColorJitterPrimitives:
@@ -202,6 +288,31 @@ class TestResize:
         rng = np.random.default_rng(2)
         img = rng.uniform(0, 1, size=(1, 9, 9, 1))
         np.testing.assert_array_equal(V.bilinear_resize(img, [[0, 0, 9, 9]], 9, 9), img)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_matches_four_tap_gather(self, channels):
+        # reference: gather the four half-pixel-center taps of each output pixel
+        rng = np.random.default_rng(channels)
+        x = rng.uniform(size=(16, 20, 24, channels))
+        boxes = np.stack(
+            [rng.integers(0, 8, 16), rng.integers(0, 8, 16), rng.integers(1, 13, 16), rng.integers(1, 17, 16)], 1
+        )
+
+        def taps(start, extent, out):
+            pos = (np.arange(out) + 0.5) * extent / out - 0.5
+            i0 = np.clip(np.floor(pos).astype(int), 0, extent - 1)
+            return start + i0, start + np.minimum(i0 + 1, extent - 1), np.clip(pos - i0, 0.0, 1.0)
+
+        top, left, h, w = boxes.T[:, :, None]
+        y0, y1, wy = taps(top, h, 11)
+        x0, x1, wx = taps(left, w, 9)
+        n = np.arange(16)[:, None, None]
+        y0, y1, x0, x1 = y0[:, :, None], y1[:, :, None], x0[:, None], x1[:, None]
+        wy, wx = wy[:, :, None, None], wx[:, None, :, None]
+        upper = x[n, y0, x0] * (1 - wx) + x[n, y0, x1] * wx
+        lower = x[n, y1, x0] * (1 - wx) + x[n, y1, x1] * wx
+        expected = upper * (1 - wy) + lower * wy
+        np.testing.assert_allclose(V.bilinear_resize(x, boxes, 11, 9), expected, rtol=0, atol=1e-14)
 
     def test_constant_preserved(self):
         img = np.full((1, 8, 8, 1), 0.37)
@@ -248,3 +359,13 @@ class TestBatch:
         cfg = V.AugmentConfig(crop_output=10)
         batch = V.build_amimv_batch(self._images(5), GRAY_STATS, cfg, V.RngStream(2))
         assert batch.v1n.shape == batch.v1a.shape == batch.v2n.shape == batch.v2a.shape == (5, 1, 10, 10)
+
+
+    def test_one_generator_per_batch(self, monkeypatch):
+        # augmentation draws come from the counter hash; only the derangement
+        # builds a generator
+        made = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(a) or philox(*a, **k))
+        V.build_amimv_batch(self._images(64), GRAY_STATS, V.AugmentConfig(crop_output=12), V.RngStream(0))
+        assert len(made) <= 1
