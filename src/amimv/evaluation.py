@@ -81,9 +81,13 @@ class EvalReport:
 
 
 def extract_features(
-    pair: M.EncoderPair, dataset: ImageDataset, split: str, batch_size: int = 256
+    pair: M.EncoderPair, dataset: ImageDataset, split: str, batch_size: int = 128
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-projector query-encoder features on normalized views only."""
+    """Pre-projector query-encoder features on normalized views only,
+    encoded ``batch_size`` images at a time. At 256 images of 28 px, the
+    first conv's im2col and output (~14 MB) often land in fresh pages above
+    the heap a training run leaves behind and raise peak memory by that
+    much; chunks of 128 do not."""
     if split not in dataset.splits:
         raise ValidationError(f"unknown split {split!r}; have {sorted(dataset.splits)}")
     images, labels = dataset.splits[split]
@@ -127,6 +131,9 @@ def linear_probe(
     config = config or ProbeConfig()
     n, d = train_features.shape
     c = num_classes or int(train_labels.max()) + 1
+    outside = train_labels[(train_labels < 0) | (train_labels >= c)]
+    if outside.size:
+        raise ValidationError(f"label {int(outside[0])} outside [0, {c})")
     missing = sorted(set(range(c)) - set(int(x) for x in np.unique(train_labels)))
     x = train_features.astype(np.float32)
 

@@ -49,6 +49,18 @@ class TestExtractFeatures:
         with pytest.raises(ValidationError):
             E.extract_features(pair, ds, "dev")
 
+    @pytest.mark.parametrize("arch", ["tiny", "small_residual"])
+    def test_chunks_of_128_and_256_agree(self, arch):
+        # chunked [128, 128, tail] and [256, tail]: every GEMM keeps at least
+        # the tail's rows. Chunks of a few rows are not byte-equal: BLAS
+        # takes another kernel for a dense layer with very few rows.
+        ds = make_synthetic_longtail(2, [220, 200], image_size=16, seed=1)
+        pair = M.init_pair(M.EncoderConfig(arch=arch, input_channels=1, input_size=16), seed=0)
+        assert 256 + 20 < ds.splits["train"][0].shape[0] < 384
+        a, _ = E.extract_features(pair, ds, "train", batch_size=128)
+        b, _ = E.extract_features(pair, ds, "train", batch_size=256)
+        assert a.tobytes() == b.tobytes()
+
 
 def _tape_probe(features, labels, config, num_classes=None):
     """The probe as a tape-recorded chain: linear, logsumexp - sum(mul), mean, backward."""
@@ -95,6 +107,12 @@ class TestLinearProbe:
         assert got.weights.shape == (d, num_classes or labels.max() + 1)
         assert np.array_equal(got.weights, weights)
         assert np.array_equal(got.bias, bias)
+
+    @pytest.mark.parametrize("bad,num_classes", [(-1, 3), (3, 3), (-2, None)], ids=["negative", "num-classes", "inferred"])
+    def test_label_outside_classes_rejected(self, bad, num_classes):
+        labels = np.array([0, 1, 2, 1, 0, bad])
+        with pytest.raises(ValidationError, match=f"label {bad} outside"):
+            E.linear_probe(np.ones((6, 2)), labels, E.ProbeConfig(epochs=1), num_classes=num_classes)
 
     def test_separable_features_reach_full_accuracy(self):
         rng = np.random.default_rng(0)
