@@ -5,15 +5,18 @@ head, contrastive losses, and optimizers: elementwise arithmetic, matmul,
 linear (``x @ w + b``), 2D cross-correlation with an optional bias, group
 normalization, 2x2 average pooling, reductions, concat, gather, L2
 normalization, and a max-shifted logsumexp; each encoder layer is one tape
-record. All three conv2d products are im2col GEMMs: the forward and the kernel
-gradient share one im2col matrix of the input, and the input gradient (skipped
-for an input that does not require one) correlates the dilated, padded g with
-the flipped kernel through the same im2col. conv2d takes and returns NCHW, but
-its im2col gathers a channels-last [N,H,W,C] copy with columns in (kh, kw, c)
-order, one window-view copy that moves each kernel row's (kw, c) block as one
-run. Group norm's input gradient is its closed form, two reductions per group.
-Gradients are replayed in reverse recording order; every differentiable op is
-covered by finite-difference checks in the test suite.
+record. All three conv2d products are im2col GEMMs. The tape keeps a conv's
+input, not its im2col matrix (kh*kw times larger): the forward drops the
+matrix after its GEMM, and the kernel gradient gathers it again from the
+input (activation recomputation, arXiv:1604.06174). The input gradient
+(skipped for an input that does not require one) correlates the dilated,
+padded g with the flipped kernel through the same im2col. conv2d takes and
+returns NCHW, but its im2col gathers a channels-last [N,H,W,C] copy with
+columns in (kh, kw, c) order, one window-view copy that moves each kernel
+row's (kw, c) block as one run. Group norm's input gradient is its closed
+form, two reductions per group. Gradients are replayed in reverse recording
+order; every differentiable op is covered by finite-difference checks in the
+test suite.
 """
 
 from __future__ import annotations
@@ -408,6 +411,8 @@ def conv2d(
     # _im2col works channels-last, the layout a view tensor's memory already has
     cols = _im2col(x.data.transpose(0, 2, 3, 1), kh, kw, stride, padding)
     out = cols @ kernel.data.transpose(0, 2, 3, 1).reshape(f, -1).T
+    # the tape keeps x, not cols (kh*kw times the size of x): bwd gathers cols again (arXiv:1604.06174)
+    del cols
     if bias is not None:
         out += bias.data
     out = np.ascontiguousarray(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
@@ -415,7 +420,9 @@ def conv2d(
     def bwd(g):
         # g: (n,f,ho,wo)
         g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # one copy serves dk and the dx scatter
+        cols = _im2col(x.data.transpose(0, 2, 3, 1), kh, kw, stride, padding)
         dk = (g_nhwc.reshape(-1, f).T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+        del cols  # not alive beside dx's gather
         dx = None  # backward() drops the gradient of an input that does not require one
         if x.requires_grad:
             # dx correlates g, zero-dilated by the stride and padded by k-1-padding, with the flipped

@@ -547,11 +547,38 @@ _ENCODER_CONVS = [
 _DX_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
 
 
-def _conv2d_results(x, k, b, g, stride, pad):
+def _keep_cols_conv2d(x, kernel, stride, padding, *, bias):
+    """conv2d as it was when its backward closure kept the forward's im2col matrix; the shape checks are
+    left out. T.conv2d gathers that matrix again in backward and must match this byte for byte."""
+    n, c, h, w = x.shape
+    f, _, kh, kw = kernel.shape
+    ho = T._conv_out_size(h, kh, stride, padding)
+    wo = T._conv_out_size(w, kw, stride, padding)
+    cols = T._im2col(x.data.transpose(0, 2, 3, 1), kh, kw, stride, padding)
+    out = cols @ kernel.data.transpose(0, 2, 3, 1).reshape(f, -1).T
+    out += bias.data
+    out = np.ascontiguousarray(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+
+    def bwd(g):
+        g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+        dk = (g_nhwc.reshape(-1, f).T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+        eh, ew = max(padding + 1 - kh, 0), max(padding + 1 - kw, 0)
+        gp = np.zeros((n, h + kh - 1 + 2 * eh, w + kw - 1 + 2 * ew, f), dtype=g.dtype)
+        th, tw = kh - 1 - padding + eh, kw - 1 - padding + ew
+        gp[:, th : th + stride * ho : stride, tw : tw + stride * wo : stride] = g_nhwc
+        gcols = T._im2col(gp[:, eh : eh + h + kh - 1, ew : ew + w + kw - 1], kh, kw, 1, 0)
+        kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
+        dx = (gcols @ kflip.T).reshape(n, h, w, c).transpose(0, 3, 1, 2).astype(x.dtype, copy=False)
+        return dx, dk.astype(kernel.dtype, copy=False), g.sum(axis=(0, 2, 3))
+
+    return T._make(out, (x, kernel, bias), bwd)
+
+
+def _conv2d_results(x, k, b, g, stride, pad, conv=T.conv2d):
     """Output and the x, kernel, bias gradients of conv2d for upstream gradient g."""
     leaves = [T.Tensor(a, requires_grad=True) for a in (x, k, b)]
     with T.Tape() as tape:
-        y = T.conv2d(leaves[0], leaves[1], stride, pad, bias=leaves[2])
+        y = conv(leaves[0], leaves[1], stride, pad, bias=leaves[2])
         loss = T.sum_(T.mul(y, T.Tensor(g)))  # hands conv2d exactly g as its upstream gradient
     T.backward(loss, tape)
     return [y.data] + [leaf.grad for leaf in leaves]
@@ -567,15 +594,19 @@ def _conv2d_inputs(rng, dtype, x_shape, k_shape, stride, pad):
 
 
 def _check_conv2d_against_reference(rng, dtype, x_shape, k_shape, stride, pad):
-    """db byte-equal to the reference; output, dx and dk within _DX_RTOL of their max magnitude."""
+    """db byte-equal to the reference; output, dx and dk within _DX_RTOL of their max magnitude. All four
+    byte-equal to the keep-cols conv2d, so gathering im2col again in backward changes no bit."""
     x, k, b, g = _conv2d_inputs(rng, dtype, x_shape, k_shape, stride, pad)
     out, dx, dk, db = _reference_conv2d(x, k, b, stride, pad, g)
-    for got, want in zip(_conv2d_results(x, k, b, g, stride, pad), [out, dx, dk, db]):
+    results = _conv2d_results(x, k, b, g, stride, pad)
+    for got, want in zip(results, [out, dx, dk, db]):
         assert got.dtype == dtype and got.shape == want.shape
         if want is db:
             np.testing.assert_array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= _DX_RTOL[dtype] * np.abs(want).max()
+    for got, kept in zip(results, _conv2d_results(x, k, b, g, stride, pad, conv=_keep_cols_conv2d)):
+        np.testing.assert_array_equal(got, kept)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -613,6 +644,23 @@ def test_conv2d_skips_gradient_of_constant_input():
     np.testing.assert_array_equal(db, db_const)
     # on the last tape (x without grad) the conv record returns no input gradient at all
     assert tape.records[0].backward_fn(g)[0] is None
+
+
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", [_ENCODER_CONVS[i] for i in (0, 6, 9, 16, 18)])
+def test_conv2d_tape_holds_no_im2col_matrix(x_shape, k_shape, stride, pad):
+    """Between forward and backward a recorded conv keeps x, not the [N*Ho*Wo, kh*kw*c] im2col matrix."""
+    x, k, b, _ = _conv2d_inputs(np.random.default_rng(15), np.float32, x_shape, k_shape, stride, pad)
+    leaves = [T.Tensor(a, requires_grad=True) for a in (x, k, b)]
+    with T.Tape() as tape:
+        y = T.conv2d(leaves[0], leaves[1], stride, pad, bias=leaves[2])
+    n, c, h, w = x_shape
+    _, _, kh, kw = k_shape
+    cols_shape = (n * y.shape[2] * y.shape[3], kh * kw * c)
+    record = tape.records[-1]
+    assert record.inputs[0] is leaves[0]
+    arrays = [cell.cell_contents for cell in record.backward_fn.__closure__]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert all(a.shape != cols_shape and a.size <= x.size for a in arrays)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
