@@ -1,7 +1,8 @@
 """Command-line entry point: analyze | pretrain | probe | report.
 
 Exit codes: 0 success, 2 input/config error, 3 domain precondition
-failure, 4 numeric failure. All outputs are written atomically.
+failure (running out of memory included), 4 numeric failure. All outputs
+are written atomically.
 """
 
 from __future__ import annotations
@@ -241,13 +242,16 @@ def main(argv: list[str] | None = None) -> int:
     args, extra = parser.parse_known_args(argv)
     if extra and args.command != "pretrain":
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "pretrain":
-        return cmd_pretrain(args, extra)
-    if args.command == "probe":
-        return cmd_probe(args)
-    return cmd_report(args)
+    try:
+        if args.command == "analyze":
+            return cmd_analyze(args)
+        if args.command == "pretrain":
+            return cmd_pretrain(args, extra)
+        if args.command == "probe":
+            return cmd_probe(args)
+        return cmd_report(args)
+    except MemoryError as exc:  # e.g. a synthetic spec whose images do not fit in memory
+        return _fail(EXIT_PRECONDITION, (str(exc) or "out of memory").splitlines()[0])
 
 
 if __name__ == "__main__":

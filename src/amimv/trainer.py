@@ -159,6 +159,8 @@ class RunConfig:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mode == "amimv" and self.batch_size < 2:
             raise ValidationError("amimv mode needs batch_size >= 2")
+        if self.view_size < 0:
+            raise ValidationError(f"view_size must be >= 0 (0: the dataset's size), got {self.view_size}")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise ValidationError(f"ema_momentum {self.ema_momentum} outside [0,1]")
         if not 0 <= self.seed < 2**63:  # view keys pack the seed as a signed 64-bit word

@@ -20,6 +20,7 @@ of how images are grouped into batches.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -50,6 +51,10 @@ class AugmentConfig:
     standardize_augmented: bool = True
 
     def __post_init__(self):
+        for name in ("jitter_brightness", "jitter_contrast", "jitter_saturation", "jitter_hue"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
         for p in (self.jitter_probability, self.flip_probability, self.blur_probability):
             if not 0.0 <= p <= 1.0:
                 raise ValidationError(f"probability {p} outside [0,1]")

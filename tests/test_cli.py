@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amimv import datasets
 from amimv.cli import main
 from amimv.trainer import RunConfig
 
@@ -51,6 +52,19 @@ class TestAnalyze:
     def test_single_class_precondition_exit_3(self, tmp_path):
         code = main(["analyze", "synthetic:C=1,counts=8,size=8", "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 149. GiB for an array", ""])
+    def test_out_of_memory_exit_3_one_line(self, tmp_path, capsys, monkeypatch, message):
+        def too_big(*args, **kwargs):
+            raise MemoryError(message)
+
+        # stands in for "synthetic:C=2,counts=40:40,size=100000", which asks NumPy for 149 GiB
+        monkeypatch.setattr(datasets, "make_synthetic_longtail", too_big)
+        out = tmp_path / "out"
+        assert main(["analyze", SMALL_SYNTH, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {message or 'out of memory'}\n"
+        assert not out.exists()
 
 
 class TestPretrain:
@@ -121,6 +135,7 @@ class TestPretrain:
             ["--sgd_momentum", "inf"],
             ["--warmup_start", "nan"],
             ["--seed", "9223372036854775808"],
+            ["--view_size", "-4"],
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, flags):

@@ -117,6 +117,14 @@ def test_augment_config_rejects_out_of_range(field, value):
         V.AugmentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+@pytest.mark.parametrize("field", ["jitter_brightness", "jitter_contrast", "jitter_saturation", "jitter_hue"])
+def test_augment_config_rejects_bad_jitter_magnitude(field, value):
+    # a NaN magnitude would turn every jittered view into NaN
+    with pytest.raises(ValidationError, match=field):
+        V.AugmentConfig(**{field: value})
+
+
 class TestAugmentView:
     def test_identity_configuration(self):
         img = gray_image(16, seed=3)
