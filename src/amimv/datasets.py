@@ -8,10 +8,11 @@ statistics.
 
 from __future__ import annotations
 
-import ast
 import io
-import struct
+import math
+import tokenize
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +22,8 @@ from .errors import FormatError, ValidationError
 SPLIT_NAMES = ("train", "val", "test")
 _MEMBERS = [f"{s}_{kind}" for s in SPLIT_NAMES for kind in ("images", "labels")]
 
-_NPY_MAGIC = b"\x93NUMPY"
-# dtype descriptors accepted for images / labels; MedMNIST ships u1 + i8
-_DESCR_TO_DTYPE = {"|u1": np.uint8, "<i8": np.int64, "<u1": np.uint8}
-_DTYPE_TO_DESCR = {np.dtype(np.uint8): "|u1", np.dtype(np.int64): "<i8"}
+# dtypes accepted for images / labels; MedMNIST ships u1 + i8
+_NPY_DTYPES = (np.dtype(np.uint8), np.dtype("<i8"))
 
 
 @dataclass
@@ -64,52 +63,36 @@ class ImageDataset:
 
 
 def read_npy(buf: bytes, member: str = "<buffer>") -> np.ndarray:
-    """Parse a version-1.0, C-order NPY payload."""
-    if len(buf) < 10 or buf[:6] != _NPY_MAGIC:
-        raise FormatError(f"{member}: not an NPY payload (bad magic)")
-    major, minor = buf[6], buf[7]
-    if (major, minor) != (1, 0):
-        raise FormatError(f"{member}: unsupported NPY version {major}.{minor}")
-    (hlen,) = struct.unpack("<H", buf[8:10])
-    header = buf[10 : 10 + hlen].decode("ascii")
+    """Parse a version-1.0, C-order NPY payload of uint8 or little-endian int64."""
+    fp = io.BytesIO(buf)
+    # NumPy reports most bad headers as ValueError; a few literals and
+    # unbalanced brackets escape its parser as TypeError, SyntaxError or TokenError
     try:
-        meta = ast.literal_eval(header)
-    except Exception as exc:
-        raise FormatError(f"{member}: malformed NPY header: {exc}") from exc
-    descr, fortran, shape = meta.get("descr"), meta.get("fortran_order"), meta.get("shape")
+        version = np.lib.format.read_magic(fp)
+        if version != (1, 0):
+            raise FormatError(f"{member}: unsupported NPY version {version[0]}.{version[1]}")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fp)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
+        reason = (str(exc) or type(exc).__name__).splitlines()[0]
+        raise FormatError(f"{member}: malformed NPY header: {reason}") from exc
     if fortran:
         raise FormatError(f"{member}: fortran-order arrays are not supported")
-    if descr not in _DESCR_TO_DTYPE:
-        raise FormatError(f"{member}: unsupported dtype descriptor {descr!r}")
-    dtype = np.dtype(_DESCR_TO_DTYPE[descr])
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    data = buf[10 + hlen :]
-    if len(data) < count * dtype.itemsize:
+    if dtype not in _NPY_DTYPES:
+        raise FormatError(f"{member}: unsupported dtype {dtype.str!r}")
+    if any(d < 0 for d in shape):
+        raise FormatError(f"{member}: negative dimension in shape {shape}")
+    count = math.prod(shape)
+    if len(buf) - fp.tell() < count * dtype.itemsize:
         raise FormatError(f"{member}: truncated payload")
-    arr = np.frombuffer(data[: count * dtype.itemsize], dtype=dtype).reshape(shape)
-    return arr.copy()
+    return np.frombuffer(buf, dtype, count, fp.tell()).reshape(shape).copy()
 
 
 def write_npy(arr: np.ndarray) -> bytes:
     """Serialize an array as a version-1.0 NPY payload (C order)."""
-    dt = np.dtype(arr.dtype)
-    if dt not in _DTYPE_TO_DESCR:
-        raise FormatError(f"cannot write dtype {dt}")
-    header = {
-        "descr": _DTYPE_TO_DESCR[dt],
-        "fortran_order": False,
-        "shape": tuple(int(s) for s in arr.shape),
-    }
-    text = repr(header)
-    # pad so that data starts on a 64-byte boundary, newline-terminated
-    pad = 64 - (10 + len(text) + 1) % 64
-    text = text + " " * pad + "\n"
+    if arr.dtype not in _NPY_DTYPES:
+        raise FormatError(f"cannot write dtype {arr.dtype}")
     out = io.BytesIO()
-    out.write(_NPY_MAGIC)
-    out.write(bytes([1, 0]))
-    out.write(struct.pack("<H", len(text)))
-    out.write(text.encode("ascii"))
-    out.write(np.ascontiguousarray(arr).tobytes())
+    np.lib.format.write_array(out, np.ascontiguousarray(arr), version=(1, 0), allow_pickle=False)
     return out.getvalue()
 
 
@@ -125,7 +108,12 @@ def load_npz(path: str, name: str | None = None) -> ImageDataset:
         for member in _MEMBERS:
             if member not in names:
                 raise FormatError(f"missing member {member}")
-            arrays[member] = read_npy(zf.read(names[member]), member)
+            try:
+                payload = zf.read(names[member])
+            except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+                reason = str(exc) or type(exc).__name__
+                raise FormatError(f"{member}: damaged archive member: {reason}") from exc
+            arrays[member] = read_npy(payload, member)
 
     splits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for split in SPLIT_NAMES:

@@ -163,7 +163,7 @@ class RunConfig:
             raise ValidationError(f"view_size must be >= 0 (0: the dataset's size), got {self.view_size}")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise ValidationError(f"ema_momentum {self.ema_momentum} outside [0,1]")
-        if not 0 <= self.seed < 2**63:  # view keys pack the seed as a signed 64-bit word
+        if not 0 <= self.seed < 2**63:  # the CLI's seed range; the draws hash the seed mod 2**64
             raise ValidationError(f"seed must be >= 0 and < 2**63, got {self.seed}")
         if not self.base_lr >= 0.0:
             raise ValidationError(f"base_lr must be >= 0 (0: batch-scaled), got {self.base_lr}")
@@ -279,9 +279,8 @@ class TrainResult:
     pair: M.EncoderPair
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n - batch_size + 1, batch_size):
+def _epoch_batches(order: np.ndarray, batch_size: int):
+    for start in range(0, len(order) - batch_size + 1, batch_size):
         yield order[start : start + batch_size]
 
 
@@ -330,10 +329,11 @@ def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainRes
     epoch_losses: list[float] = []
     step = 0
     for epoch in range(1, config.epochs + 1):
-        shuffle_rng = stream.generator(epoch, -2, 0, 0)
+        # batch -2 keeps the shuffle keys apart from the view keys (batch >= 0)
+        order = stream.permutation(images.shape[0], epoch, -2, 0)
         batch_losses = []
         lr = 0.0
-        for batch_index, idx in enumerate(_epoch_batches(images.shape[0], config.batch_size, shuffle_rng)):
+        for batch_index, idx in enumerate(_epoch_batches(order, config.batch_size)):
             lr = lr_at(step, schedule)
             loss_value = _train_step(
                 config, pair, loss_cfg, aug_cfg, stream, dataset.channel_stats,

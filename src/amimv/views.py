@@ -12,16 +12,16 @@ a random derangement.
 Augmentation draws come from a counter-based hash (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11) built on the
 SplitMix64 finalizer (Steele et al., OOPSLA'14) and keyed by (seed, epoch,
-batch, item, branch, slot); the shuffle and the pairing use one keyed
-generator each. Results are independent of evaluation order and
+batch, item, branch, slot). The epoch shuffle and the pairing are the
+argsort of the same hash's item keys, so every draw of a run is a pure
+function of its key. Results are independent of evaluation order and
 of how images are grouped into batches.
 """
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,12 +114,6 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def generator(self, *key: int) -> np.random.Generator:
-        payload = struct.pack(f"<{len(key) + 1}q", self.seed, *[int(k) for k in key])
-        digest = hashlib.blake2b(payload, digest_size=16).digest()
-        words = struct.unpack("<2Q", digest)
-        return np.random.Generator(np.random.Philox(key=words))
-
     def items(self, n: int, epoch: int, batch: int, branch: int) -> np.ndarray:
         """``[n]`` uint64 keys, one per batch item, hashed from
         (seed, epoch, batch, item, branch) in that order; feed them to
@@ -128,6 +122,12 @@ class RngStream:
         for word in (self.seed, epoch, batch, np.arange(n, dtype=np.uint64), branch):
             state = _absorb(state, word)
         return state
+
+    def permutation(self, n: int, epoch: int, batch: int, branch: int) -> np.ndarray:
+        """A uniform random permutation of ``range(n)``: the argsort of the
+        item keys, which are distinct because each SplitMix64 step is a
+        bijection of the 64-bit state."""
+        return np.argsort(self.items(n, epoch, batch, branch))
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +359,13 @@ def augment_view(images: np.ndarray, stats, config: AugmentConfig, keys: np.ndar
     return _to_tensor(apply_separable(x, rows, cols), stats if config.standardize_augmented else None)
 
 
-def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random fixed-point-free permutation, by rejection."""
+def random_derangement(n: int, stream: RngStream, epoch: int, batch: int) -> np.ndarray:
+    """Uniform random fixed-point-free permutation, by rejection: attempt t
+    is the permutation keyed (epoch, batch, branch -1 - t)."""
     if n < 2:
         raise ValidationError(f"derangement needs n >= 2, got {n}")
-    while True:
-        perm = rng.permutation(n)
+    for attempt in itertools.count():
+        perm = stream.permutation(n, epoch, batch, -1 - attempt)
         if not np.any(perm == np.arange(n)):
             return perm
 
@@ -381,7 +382,7 @@ def build_amimv_batch(
     n = images.shape[0]
     if n < 2:
         raise ValidationError(f"an AMIMV batch needs >= 2 images, got {n}")
-    pairing = random_derangement(n, rng.generator(epoch, batch, -1, 0))
+    pairing = random_derangement(n, rng, epoch, batch)
     v1n = normalize_view(images, stats, config.crop_output)
     v1a = augment_view(images, stats, config, rng.items(n, epoch, batch, 1))
     v2a = augment_view(images[pairing], stats, config, rng.items(n, epoch, batch, 2))

@@ -12,6 +12,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_datasets import damaged_npz, npy_payload, small_dataset, write_archive
 
 from amimv import datasets
 from amimv.cli import main
@@ -64,6 +65,28 @@ class TestAnalyze:
         assert main(["analyze", SMALL_SYNTH, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err == f"error: {message or 'out of memory'}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage", ["stored", "deflated", "overrun", "non_ascii", "list", "shape_ab"]
+    )
+    def test_damaged_archive_exit_2_one_line(self, tmp_path, capsys, damage):
+        headers = {
+            "non_ascii": "{'descr': '<i8\xff', 'fortran_order': False, 'shape': (2,), }",
+            "list": "['descr', 'fortran_order', 'shape']",
+            "shape_ab": "{'descr': '<i8', 'fortran_order': False, 'shape': 'ab', }",
+        }
+        path = tmp_path / "damaged.npz"
+        if damage in headers:
+            write_archive(path, small_dataset(), payloads={"train_labels": npy_payload(headers[damage])})
+            member = "train_labels"
+        else:
+            damaged_npz(path, small_dataset(), damage)
+            member = "train_images"
+        out = tmp_path / "out"
+        assert main(["analyze", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {member}: ") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -9,6 +9,42 @@ from amimv import datasets as D
 from amimv.errors import FormatError, ValidationError
 
 
+def npy_payload(header: str, version: bytes = b"\x01\x00", data: bytes = bytes(16)) -> bytes:
+    """An NPY payload with the given header text, padded as NumPy pads it."""
+    text = header.encode("latin1")
+    text += b" " * (63 - (10 + len(text)) % 64) + b"\n"
+    return b"\x93NUMPY" + version + len(text).to_bytes(2, "little") + text + data
+
+
+def write_archive(path, dataset, compression=zipfile.ZIP_STORED, payloads=None):
+    """Write ``dataset``'s six members, taking any member named in
+    ``payloads`` from there."""
+    with zipfile.ZipFile(path, "w", compression=compression) as zf:
+        for split in D.SPLIT_NAMES:
+            for kind, arr in zip(("images", "labels"), dataset.splits[split]):
+                member = f"{split}_{kind}"
+                zf.writestr(f"{member}.npy", (payloads or {}).get(member) or D.write_npy(arr))
+    return path
+
+
+def damaged_npz(path, dataset, damage):
+    """Write ``dataset`` and damage its first member, train_images: flip four
+    bytes of its stored or deflated data, or ("overrun", stored) make its
+    sizes in the central directory run past the end of the file."""
+    compression = zipfile.ZIP_DEFLATED if damage == "deflated" else zipfile.ZIP_STORED
+    with zipfile.ZipFile(write_archive(path, dataset, compression)) as zf:
+        info = zf.infolist()[0]
+    raw = bytearray(path.read_bytes())
+    if damage == "overrun":
+        sizes_at = raw.index(b"PK\x01\x02") + 20  # the first central directory entry
+        raw[sizes_at : sizes_at + 8] = (len(raw) * 2).to_bytes(4, "little") * 2
+    else:
+        start = info.header_offset + 30 + len(info.filename) + len(info.extra) + 8
+        raw[start : start + 4] = bytes(b ^ 0xFF for b in raw[start : start + 4])
+    path.write_bytes(bytes(raw))
+    return path
+
+
 def small_dataset(num_classes=3, per_split=(12, 4, 6), size=8, rgb=False, seed=0):
     rng = np.random.default_rng(seed)
     splits = {}
@@ -65,6 +101,14 @@ class TestNpzRoundTrip:
         with pytest.raises(FormatError, match="fortran"):
             D.read_npy(text.encode("latin1"))
 
+    @pytest.mark.parametrize("damage", ["stored", "deflated", "overrun"])
+    def test_damaged_member_rejected(self, tmp_path, damage):
+        # zipfile raises BadZipFile (CRC), zlib.error and EOFError for these
+        path = damaged_npz(tmp_path / "damaged.npz", small_dataset(), damage)
+        with pytest.raises(FormatError, match="^train_images: damaged archive member") as info:
+            D.load_npz(path)
+        assert "\n" not in str(info.value)
+
     def test_single_class_rejected(self, tmp_path):
         ds = small_dataset()
         for split in D.SPLIT_NAMES:
@@ -85,6 +129,43 @@ class TestNpzRoundTrip:
                 zf.writestr(f"{split}_labels.npy", D.write_npy(labels.reshape(-1, 1)))
         loaded = D.load_npz(path)
         assert loaded.splits["train"][1].ndim == 1
+
+
+_GOOD_HEADER = "{'descr': '|u1', 'fortran_order': False, 'shape': (2, 8), }"
+
+
+class TestMalformedNpy:
+    def test_written_header_is_numpy_form(self):
+        payload = D.write_npy(np.zeros((2, 8), dtype=np.uint8))
+        assert payload == npy_payload(_GOOD_HEADER)
+        assert len(payload) % 64 == 16
+
+    @pytest.mark.parametrize(
+        "payload,reason",
+        [
+            (npy_payload(_GOOD_HEADER.replace("'|u1'", "'|u1\xff'")), "malformed NPY header"),
+            (npy_payload("['descr', 'fortran_order', 'shape']"), "not a dictionary"),
+            (npy_payload(_GOOD_HEADER.replace("(2, 8)", "'ab'")), "shape is not valid"),
+            (npy_payload(_GOOD_HEADER.replace("(2, 8)", "(-1,)")), "negative dimension"),
+            (npy_payload("{[1]: 2}"), "unhashable"),
+            (npy_payload("{'descr': ("), "EOF in multi-line statement"),
+            (npy_payload(_GOOD_HEADER, version=b"\x02\x00"), "unsupported NPY version 2.0"),
+            (npy_payload(_GOOD_HEADER, data=bytes(15)), "truncated payload"),
+            (b"\x93NUMPX" + npy_payload(_GOOD_HEADER)[6:], "magic string"),
+            (npy_payload(_GOOD_HEADER.replace("|u1", "<f8")), "unsupported dtype '<f8'"),
+            (npy_payload(_GOOD_HEADER.replace("|u1", ">i8")), "unsupported dtype '>i8'"),
+        ],
+        ids=[
+            "non_ascii", "list", "shape_ab", "negative", "unhashable_key", "unclosed",
+            "v2", "truncated", "magic", "f8", "big_endian",
+        ],
+    )
+    def test_one_line_format_error(self, payload, reason):
+        with pytest.raises(FormatError) as info:
+            D.read_npy(payload, "train_labels")
+        message = str(info.value)
+        assert message.startswith("train_labels: ") and reason in message
+        assert "\n" not in message
 
 
 class TestChannelStats:

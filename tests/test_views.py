@@ -340,8 +340,25 @@ class TestBatch:
     @given(n=st.integers(2, 12), seed=st.integers(0, 500))
     @settings(max_examples=60, deadline=None)
     def test_derangement_has_no_fixed_points(self, n, seed):
-        perm = V.random_derangement(n, V.RngStream(seed).generator(0, 0, -1, 0))
+        perm = V.random_derangement(n, V.RngStream(seed), 0, 0)
         assert not np.any(perm == np.arange(n))
+
+    def test_derangement_uniform_over_the_nine_of_four(self):
+        stream = V.RngStream(5)
+        draws = [tuple(V.random_derangement(4, stream, epoch, 0)) for epoch in range(3600)]
+        found, counts = np.unique(draws, axis=0, return_counts=True)
+        assert len(found) == 9 and not np.any(found == np.arange(4))
+        chi2 = ((counts - 400) ** 2 / 400).sum()
+        assert chi2 < 8 + 6 * np.sqrt(2 * 8)  # 8 degrees of freedom
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 512])
+    def test_permutation_is_a_permutation(self, n):
+        stream = V.RngStream(9)
+        perm = stream.permutation(n, 3, -2, 0)
+        np.testing.assert_array_equal(np.sort(perm), np.arange(n))
+        np.testing.assert_array_equal(perm, stream.permutation(n, 3, -2, 0))
+        if n == 512:
+            assert not np.array_equal(perm, stream.permutation(n, 4, -2, 0))
 
     def test_pairing_deterministic(self):
         imgs = self._images(8)
@@ -369,11 +386,25 @@ class TestBatch:
         assert batch.v1n.shape == batch.v1a.shape == batch.v2n.shape == batch.v2a.shape == (5, 1, 10, 10)
 
 
-    def test_one_generator_per_batch(self, monkeypatch):
-        # augmentation draws come from the counter hash; only the derangement
-        # builds a generator
+    @staticmethod
+    def _count_philox(monkeypatch) -> list:
         made = []
         philox = np.random.Philox
         monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(a) or philox(*a, **k))
+        return made
+
+    def test_one_generator_per_batch(self, monkeypatch):
+        # the views and the derangement all draw from the counter hash
+        made = self._count_philox(monkeypatch)
         V.build_amimv_batch(self._images(64), GRAY_STATS, V.AugmentConfig(crop_output=12), V.RngStream(0))
-        assert len(made) <= 1
+        assert made == []
+
+    def test_no_generator_in_an_epoch_of_pretraining(self, monkeypatch, tmp_path):
+        from amimv.trainer import RunConfig, pretrain
+
+        made = self._count_philox(monkeypatch)
+        config = RunConfig(
+            dataset="synthetic:C=2,counts=20:20,size=8", out_dir=str(tmp_path), epochs=1, batch_size=8
+        )
+        pretrain(config)
+        assert made == []
