@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 import tokenize
+import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -71,7 +72,12 @@ def read_npy(buf: bytes, member: str = "<buffer>") -> np.ndarray:
         version = np.lib.format.read_magic(fp)
         if version != (1, 0):
             raise FormatError(f"{member}: unsupported NPY version {version[0]}.{version[1]}")
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fp)
+        with warnings.catch_warnings():
+            # NumPy loads a Python-2 header such as 'shape': (2L, 8L) with only a warning
+            warnings.simplefilter("error", UserWarning)
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fp)
+    except UserWarning as exc:
+        raise FormatError(f"{member}: malformed NPY header: Python 2 literals") from exc
     except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
         reason = (str(exc) or type(exc).__name__).splitlines()[0]
         raise FormatError(f"{member}: malformed NPY header: {reason}") from exc

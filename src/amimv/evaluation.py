@@ -83,19 +83,22 @@ class EvalReport:
 def extract_features(
     pair: M.EncoderPair, dataset: ImageDataset, split: str, batch_size: int = 128
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-projector query-encoder features on normalized views only,
-    encoded ``batch_size`` images at a time. At 256 images of 28 px, the
-    first conv's im2col and output (~14 MB) often land in fresh pages above
-    the heap a training run leaves behind and raise peak memory by that
-    much; chunks of 128 do not."""
+    """Pre-projector query-encoder features on normalized views only, encoded
+    in ceil(n / batch_size) chunks of near-equal size. No chunk is left with
+    a few rows (unless the split is that small), so every chunk's dense
+    layers run the same BLAS kernel and an image's features do not depend
+    on where it falls in the split."""
     if split not in dataset.splits:
         raise ValidationError(f"unknown split {split!r}; have {sorted(dataset.splits)}")
     images, labels = dataset.splits[split]
-    if images.shape[0] == 0:
+    n = images.shape[0]
+    if n == 0:
         raise ValidationError(f"split {split!r} of {dataset.name} has no images")
+    k = -(-n // batch_size)
+    bounds = [i * n // k for i in range(k + 1)]
     chunks = []
-    for start in range(0, images.shape[0], batch_size):
-        views = normalize_view(images[start : start + batch_size], dataset.channel_stats, pair.config.input_size)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        views = normalize_view(images[start:stop], dataset.channel_stats, pair.config.input_size)
         with T.no_grad():
             feats, _ = M.encode(pair.q_params, views, pair.config)
         chunks.append(feats.data)

@@ -5,18 +5,31 @@ head, contrastive losses, and optimizers: elementwise arithmetic, matmul,
 linear (``x @ w + b``), 2D cross-correlation with an optional bias, group
 normalization, 2x2 average pooling, reductions, concat, gather, L2
 normalization, and a max-shifted logsumexp; each encoder layer is one tape
-record. All three conv2d products are im2col GEMMs. The tape keeps a conv's
-input, not its im2col matrix (kh*kw times larger): the forward drops the
-matrix after its GEMM, and the kernel gradient gathers it again from the
-input (activation recomputation, arXiv:1604.06174). The input gradient
-(skipped for an input that does not require one) correlates the dilated,
-padded g with the flipped kernel through the same im2col. conv2d takes and
-returns NCHW, but its im2col gathers a channels-last [N,H,W,C] copy with
+record.
+
+The tape keeps only what the backward pass reads. A tracked output points
+to its record; a record holds its backward closure and, per input, the
+record that produced it on the same tape, the leaf tensor, or None for an
+input that needs no gradient. It holds no output or input tensor, and the
+closures capture shapes, dtypes and the arrays their gradients read, so an
+activation no gradient reads (a conv, group-norm or add output) is freed
+once the next layer has run (activation lifetimes, arXiv:1604.06174). An op
+output from another tape is a leaf on this one. Gradients are keyed by
+record or leaf and replayed in reverse recording order.
+
+All three conv2d products are im2col GEMMs, with one lowering: conv2d takes
+and returns NCHW, but its im2col gathers a channels-last [N,H,W,C] copy with
 columns in (kh, kw, c) order, one window-view copy that moves each kernel
-row's (kw, c) block as one run. Group norm's input gradient is its closed
-form, two reductions per group. Gradients are replayed in reverse recording
-order; every differentiable op is covered by finite-difference checks in the
-test suite.
+row's (kw, c) block as one run. The forward and the input gradient gather
+the matrix a chunk of whole images at a time, at most _IM2COL_BYTES (8 MiB)
+per chunk, and multiply each chunk into its rows of one preallocated result
+(Caffe's column buffer, arXiv:1408.5093). The tape keeps a conv's input, not
+its im2col matrix (kh*kw times larger); the kernel gradient gathers the
+matrix again from the input, whole, for one GEMM over the batch. The input
+gradient (skipped for an input that does not require one) correlates the
+dilated, padded g with the flipped kernel. Group norm's input gradient is its
+closed form, two reductions per group. Every differentiable op is covered by
+finite-difference checks in the test suite.
 """
 
 from __future__ import annotations
@@ -30,6 +43,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ContractError, DimensionError
 
 FLOAT_DTYPES = (np.float32, np.float64)
+# the most bytes of im2col matrix conv2d's forward and input gradient gather at once
+_IM2COL_BYTES = 8 << 20
 
 
 class Tensor:
@@ -39,7 +54,7 @@ class Tensor:
     mutated, and only during a single backward pass.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "record")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -48,6 +63,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.record: _Record | None = None  # the tape record that produced this tensor, if any
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,12 +85,15 @@ class Tensor:
 
 
 class _Record:
-    __slots__ = ("output", "inputs", "backward_fn")
+    """One recorded op. It holds no tensors: each input is the record that produced it on the same
+    tape, the leaf tensor itself, or None when it needs no gradient."""
 
-    def __init__(self, output: Tensor, inputs: Sequence[Tensor], backward_fn: Callable):
-        self.output = output
-        self.inputs = tuple(inputs)
+    __slots__ = ("inputs", "backward_fn", "tape_key")
+
+    def __init__(self, inputs: tuple, backward_fn: Callable, tape_key: object):
+        self.inputs = inputs
         self.backward_fn = backward_fn
+        self.tape_key = tape_key
 
 
 class Tape:
@@ -82,6 +101,8 @@ class Tape:
 
     def __init__(self):
         self.records: list[_Record] = []
+        # names this tape in its records; the tape itself there would make a reference cycle
+        self.key = object()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -114,12 +135,20 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1]
 
 
+def _source(t: Tensor, tape_key: object) -> "_Record | Tensor | None":
+    if not t.requires_grad:
+        return None
+    # an op output from another (finished or outer) tape acts as a leaf here, and gets .grad
+    return t.record if t.record is not None and t.record.tape_key is tape_key else t
+
+
 def _make(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     tape = _active_tape()
-    tracked = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=tracked)
-    if tracked:
-        tape.records.append(_Record(out, inputs, backward_fn))
+    out = Tensor(out_data)
+    if tape is not None and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        out.record = _Record(tuple(_source(t, tape.key) for t in inputs), backward_fn, tape.key)
+        tape.records.append(out.record)
     return out
 
 
@@ -131,25 +160,20 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.data.shape != ():
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
-    leaves: dict[int, Tensor] = {}
+    # keyed by record (an op output on this tape) or by leaf tensor
+    grads: dict = {} if loss.record is None else {loss.record: np.ones((), dtype=loss.dtype)}
     for rec in reversed(tape.records):
-        # consumers sit later on the tape, so by now grads[output] is complete
-        g_out = grads.pop(id(rec.output), None)
+        # consumers sit later on the tape, so by now grads[rec] is complete
+        g_out = grads.pop(rec, None)
         if g_out is None:
             continue
-        for t, g in zip(rec.inputs, rec.backward_fn(g_out)):
-            if g is None or not t.requires_grad:
+        for src, g in zip(rec.inputs, rec.backward_fn(g_out)):
+            if g is None or src is None:
                 continue
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
-            leaves[key] = t
-    for key, t in leaves.items():
-        if key in grads:  # anything still present was never an op output: a leaf
-            t.grad = np.asarray(grads[key], dtype=t.dtype).reshape(t.shape)
+            grads[src] = grads[src] + g if src in grads else g
+    for src, g in grads.items():
+        if isinstance(src, Tensor):  # records still present belong to another tape
+            src.grad = np.asarray(g, dtype=src.dtype).reshape(src.shape)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -171,32 +195,31 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _make(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _make(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
     return _make(
-        out,
+        ad * bd,
         (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)),
     )
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
+    ad, bd = a.data, b.data
     return _make(
-        out,
+        ad / bd,
         (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
+        lambda g: (_unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)),
     )
 
 
@@ -225,7 +248,8 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    ad = a.data
+    return _make(np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -239,12 +263,13 @@ def sqrt(a: Tensor) -> Tensor:
 
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
     return _make(out, (a,), bwd)
 
@@ -252,19 +277,20 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.shape[axis]
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
         g = np.asarray(g) / count
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
     return _make(out, (a,), bwd)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    in_shape = a.shape
+    return _make(a.data.reshape(tuple(shape)), (a,), lambda g: (g.reshape(in_shape),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -278,9 +304,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def gather_rows(a: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     out = a.data[idx]
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
-        acc = np.zeros(a.shape, dtype=a.dtype)
+        acc = np.zeros(shape, dtype=dtype)
         np.add.at(acc, idx, g)
         return (acc,)
 
@@ -300,15 +327,16 @@ def transpose(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    out = a.data @ b.data
-    return _make(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    ad, bd = a.data, b.data
+    return _make(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for x [N,D], w [D,O], b [O]."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"linear shapes incompatible: {x.shape} x {w.shape} + {b.shape}")
-    return _make(x.data @ w.data + b.data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+    xd, wd = x.data, w.data
+    return _make(xd @ wd + b.data, (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
 
 
 def l2_normalize(a: Tensor, epsilon: float = 1e-12) -> Tensor:
@@ -316,12 +344,13 @@ def l2_normalize(a: Tensor, epsilon: float = 1e-12) -> Tensor:
     norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
     denom = np.maximum(norm, epsilon)
     out = a.data / denom
+    dtype = a.dtype
 
     def bwd(g):
         inner = (out * g).sum(axis=-1, keepdims=True)
         # below the guard the denominator is the constant epsilon
         grad = np.where(norm > epsilon, (g - out * inner) / denom, g / denom)
-        return (grad.astype(a.dtype, copy=False),)
+        return (grad.astype(dtype, copy=False),)
 
     return _make(out, (a,), bwd)
 
@@ -334,10 +363,11 @@ def logsumexp(a: Tensor) -> Tensor:
     shifted = np.exp(a.data - m)
     total = shifted.sum(axis=-1, keepdims=True)
     out = (m + np.log(total)).squeeze(-1)
+    dtype = a.dtype
 
     def bwd(g):
         soft = shifted / total
-        return ((np.expand_dims(g, -1) * soft).astype(a.dtype, copy=False),)
+        return ((np.expand_dims(g, -1) * soft).astype(dtype, copy=False),)
 
     return _make(out, (a,), bwd)
 
@@ -356,14 +386,17 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float) 
     out = normed * gamma4
     out += beta.data.reshape(1, c, 1, 1)
 
+    group_shape = xg.shape
+    del xg  # a view of x: the tape must not keep x alive
+
     def bwd(g):
         # per group, dx = (gn - mean(gn) - x^ * mean(gn * x^)) / sd for gn = g * gamma and x^ = normed
-        gn = (g * gamma4).reshape(xg.shape)
-        xhat = normed.reshape(xg.shape)
+        gn = (g * gamma4).reshape(group_shape)
+        xhat = normed.reshape(group_shape)
         dx = gn - gn.mean(axis=2, keepdims=True)
         dx -= xhat * (gn * xhat).mean(axis=2, keepdims=True)
         dx /= sd
-        return dx.reshape(x.shape), (g * normed).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+        return dx.reshape(n, c, h, w), (g * normed).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
     return _make(out, (x, gamma, beta), bwd)
 
@@ -388,6 +421,21 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, kh * kw * c)
 
 
+def _lowered_gemm(gather: Callable, n: int, rows: int, width: int, dtype, wmat: np.ndarray) -> np.ndarray:
+    """``gather(0, n) @ wmat``, where ``gather(i, j)`` is the im2col matrix of images i..j-1, ``rows`` by
+    ``width`` per image and of ``dtype``. It is gathered for as many whole images at a time as fit in
+    _IM2COL_BYTES (at least one), each piece multiplied into its rows of one preallocated result
+    (Caffe's column buffer, arXiv:1408.5093). A GEMM row's sums do not depend on the other rows, so the
+    bytes are those of one whole-batch GEMM; the one exception is a piece small enough (a few hundred
+    rows by a few columns) for OpenBLAS's small-matrix kernel, which no encoder conv splits into."""
+    step = max(1, _IM2COL_BYTES // (rows * width * np.dtype(dtype).itemsize))
+    out = np.empty((n * rows, wmat.shape[1]), dtype=np.result_type(dtype, wmat.dtype))
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        np.matmul(gather(i, j), wmat, out=out[i * rows : j * rows])
+    return out
+
+
 def conv2d(
     x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *, bias: Tensor | None = None
 ) -> Tensor:
@@ -409,36 +457,47 @@ def conv2d(
     ho = _conv_out_size(h, kh, stride, padding)
     wo = _conv_out_size(w, kw, stride, padding)
     # _im2col works channels-last, the layout a view tensor's memory already has
-    cols = _im2col(x.data.transpose(0, 2, 3, 1), kh, kw, stride, padding)
-    out = cols @ kernel.data.transpose(0, 2, 3, 1).reshape(f, -1).T
-    # the tape keeps x, not cols (kh*kw times the size of x): bwd gathers cols again (arXiv:1604.06174)
-    del cols
-    if bias is not None:
+    x_nhwc = x.data.transpose(0, 2, 3, 1)
+    kdata = kernel.data
+    need_dx, has_bias = x.requires_grad, bias is not None
+
+    def gather_x(i, j):
+        return _im2col(x_nhwc[i:j], kh, kw, stride, padding)
+
+    kmat = kdata.transpose(0, 2, 3, 1).reshape(f, -1).T
+    out = _lowered_gemm(gather_x, n, ho * wo, kh * kw * c, x_nhwc.dtype, kmat)
+    if has_bias:
         out += bias.data
     out = np.ascontiguousarray(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
 
     def bwd(g):
         # g: (n,f,ho,wo)
-        g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # one copy serves dk and the dx scatter
-        cols = _im2col(x.data.transpose(0, 2, 3, 1), kh, kw, stride, padding)
+        g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # one copy serves dk and the dx gather
+        # the tape keeps x, not its im2col matrix (kh*kw times the size of x): the kernel gradient
+        # gathers it again, in one piece (arXiv:1604.06174)
+        cols = gather_x(0, n)
         dk = (g_nhwc.reshape(-1, f).T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
         del cols  # not alive beside dx's gather
         dx = None  # backward() drops the gradient of an input that does not require one
-        if x.requires_grad:
+        if need_dx:
             # dx correlates g, zero-dilated by the stride and padded by k-1-padding, with the flipped
             # kernel (arXiv:1603.07285); where padding > k-1 that pad is negative, and a margin of
             # eh, ew zeros lets the crop drop the rows of g that lie over the padding
             eh, ew = max(padding + 1 - kh, 0), max(padding + 1 - kw, 0)
-            gp = np.zeros((n, h + kh - 1 + 2 * eh, w + kw - 1 + 2 * ew, f), dtype=g.dtype)
             th, tw = kh - 1 - padding + eh, kw - 1 - padding + ew
-            gp[:, th : th + stride * ho : stride, tw : tw + stride * wo : stride] = g_nhwc
-            gcols = _im2col(gp[:, eh : eh + h + kh - 1, ew : ew + w + kw - 1], kh, kw, 1, 0)
-            kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
-            dx = (gcols @ kflip.T).reshape(n, h, w, c).transpose(0, 3, 1, 2).astype(x.dtype, copy=False)
-        grads = (dx, dk.astype(kernel.dtype, copy=False))
-        return grads if bias is None else grads + (g.sum(axis=(0, 2, 3)),)
 
-    return _make(out, (x, kernel) if bias is None else (x, kernel, bias), bwd)
+            def gather_g(i, j):
+                gp = np.zeros((j - i, h + kh - 1 + 2 * eh, w + kw - 1 + 2 * ew, f), dtype=g.dtype)
+                gp[:, th : th + stride * ho : stride, tw : tw + stride * wo : stride] = g_nhwc[i:j]
+                return _im2col(gp[:, eh : eh + h + kh - 1, ew : ew + w + kw - 1], kh, kw, 1, 0)
+
+            kflip = kdata[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
+            dx = _lowered_gemm(gather_g, n, h * w, kh * kw * f, g.dtype, kflip.T)
+            dx = dx.reshape(n, h, w, c).transpose(0, 3, 1, 2).astype(x_nhwc.dtype, copy=False)
+        grads = (dx, dk.astype(kdata.dtype, copy=False))
+        return grads + (g.sum(axis=(0, 2, 3)),) if has_bias else grads
+
+    return _make(out, (x, kernel, bias) if has_bias else (x, kernel), bwd)
 
 
 def avg_pool2d(x: Tensor, k: int) -> Tensor:

@@ -68,17 +68,21 @@ class TestAnalyze:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "damage", ["stored", "deflated", "overrun", "non_ascii", "list", "shape_ab"]
+        "damage", ["stored", "deflated", "overrun", "non_ascii", "list", "shape_ab", "py2_long"]
     )
     def test_damaged_archive_exit_2_one_line(self, tmp_path, capsys, damage):
         headers = {
             "non_ascii": "{'descr': '<i8\xff', 'fortran_order': False, 'shape': (2,), }",
             "list": "['descr', 'fortran_order', 'shape']",
             "shape_ab": "{'descr': '<i8', 'fortran_order': False, 'shape': 'ab', }",
+            # the right train labels behind a Python 2 long literal, which NumPy loads with a UserWarning
+            "py2_long": "{'descr': '<i8', 'fortran_order': False, 'shape': (12L,), }",
         }
         path = tmp_path / "damaged.npz"
         if damage in headers:
-            write_archive(path, small_dataset(), payloads={"train_labels": npy_payload(headers[damage])})
+            data = small_dataset().splits["train"][1].astype("<i8").tobytes()
+            payload = npy_payload(headers[damage], data=data)
+            write_archive(path, small_dataset(), payloads={"train_labels": payload})
             member = "train_labels"
         else:
             damaged_npz(path, small_dataset(), damage)

@@ -51,15 +51,18 @@ class TestExtractFeatures:
 
     @pytest.mark.parametrize("arch", ["tiny", "small_residual"])
     def test_chunks_of_128_and_256_agree(self, arch):
-        # chunked [128, 128, tail] and [256, tail]: every GEMM keeps at least
-        # the tail's rows. Chunks of a few rows are not byte-equal: BLAS
-        # takes another kernel for a dense layer with very few rows.
-        ds = make_synthetic_longtail(2, [220, 200], image_size=16, seed=1)
-        pair = M.init_pair(M.EncoderConfig(arch=arch, input_channels=1, input_size=16), seed=0)
-        assert 256 + 20 < ds.splits["train"][0].shape[0] < 384
-        a, _ = E.extract_features(pair, ds, "train", batch_size=128)
-        b, _ = E.extract_features(pair, ds, "train", batch_size=256)
-        assert a.tobytes() == b.tobytes()
+        # BLAS takes another kernel for a dense layer of a few rows (tiny at 28 px:
+        # fewer than 20), so no chunk may be a short tail: 389 = 3 * 128 + 5 images
+        # go in 4 chunks of 97 or 98 and in 2 of 194 or 195, not in [128, 128, 128, 5]
+        # and [256, 133]
+        for counts, size, n in (([220, 200], 16, 294), ([356, 200], 28 if arch == "tiny" else 32, 389)):
+            config = M.EncoderConfig(arch=arch, input_channels=1, input_size=size)
+            pair = M.init_pair(config, seed=0)
+            ds = make_synthetic_longtail(2, counts, image_size=size, seed=1)
+            assert ds.splits["train"][0].shape[0] == n
+            a, _ = E.extract_features(pair, ds, "train", batch_size=128)
+            b, _ = E.extract_features(pair, ds, "train", batch_size=256)
+            assert a.tobytes() == b.tobytes()
 
 
 def _tape_probe(features, labels, config, num_classes=None):

@@ -1,10 +1,13 @@
 """Unit and gradient tests for the autodiff tensor core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amimv import model as M
 from amimv import tensor as T
 from amimv.errors import ContractError, DimensionError
 
@@ -161,6 +164,24 @@ class TestBackward:
             loss = T.sum_(y)
         T.backward(loss, tape)
         assert x.grad is None
+
+    def test_op_output_of_another_tape_is_a_leaf(self):
+        w = t([1.0], requires_grad=True)
+        with T.Tape():
+            h = T.scale(w, 2.0)
+        with T.Tape() as tape:
+            loss = T.sum_(T.mul(h, h))
+        T.backward(loss, tape)
+        np.testing.assert_array_equal(h.grad, [4.0])
+        assert w.grad is None
+        # the same for an inner tape: the outer tape's op output is a leaf on it
+        with T.Tape():
+            u = T.scale(w, 3.0)
+            with T.Tape() as inner:
+                loss = T.sum_(T.mul(u, u))
+            T.backward(loss, inner)
+        np.testing.assert_array_equal(u.grad, [6.0])
+        assert w.grad is None
 
     def test_reused_leaf_accumulates(self):
         x = t([2.0], requires_grad=True)
@@ -685,3 +706,137 @@ def test_conv2d_float32_matches_float64(x_shape, k_shape, stride, pad):
     for a, b in zip(got, want):
         assert a.dtype == np.float32 and a.shape == b.shape
         assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
+
+
+def _spy_im2col(monkeypatch):
+    """Record the image count of every _im2col call; one call gathers one chunk."""
+    calls = []
+    gather = T._im2col
+
+    def spy(x, *args):
+        calls.append(x.shape[0])
+        return gather(x, *args)
+
+    monkeypatch.setattr(T, "_im2col", spy)
+    return calls
+
+
+def _gathers(calls, n):
+    """Group the recorded chunk sizes into consecutive gathers of n images each."""
+    runs, run = [], []
+    for size in calls:
+        run.append(size)
+        if sum(run) == n:
+            runs.append(run)
+            run = []
+    assert not run
+    return runs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS)
+def test_conv2d_chunked_equals_single_chunk(monkeypatch, dtype, x_shape, k_shape, stride, pad):
+    """Output, dx, dk and db are byte-equal whether the im2col matrices are gathered whole or in chunks.
+
+    Under one budget the forward's gather splits, under the other the input gradient's, each into at
+    least 3 chunks with a shorter last one (for n <= 4 there are n chunks of one image).
+
+    One exception: the dx GEMM of the two (4, 3, 9, 9) stride-2 cases has 3 columns and 45-term sums,
+    and OpenBLAS's small-matrix path rounds an 81-row product of that shape in another order than the
+    324-row one (plain ``A[:81] @ B`` differs from ``(A @ B)[:81]`` there too). Their dx is held to
+    _DX_RTOL. The encoders never meet this: a split needs more than _IM2COL_BYTES of im2col, and no
+    dx GEMM of theirs has fewer than 8 columns."""
+    inputs = _conv2d_inputs(np.random.default_rng(16), dtype, x_shape, k_shape, stride, pad)
+    monkeypatch.setattr(T, "_IM2COL_BYTES", 1 << 62)
+    want = _conv2d_results(*inputs, stride, pad)
+    n, c, h, w = x_shape
+    f, _, kh, kw = k_shape
+    ho, wo = want[0].shape[2:]
+    step = max(1, (n - 1) // 3)
+    chunks = [step] * (n // step) + ([n % step] if n % step else [])
+    assert len(chunks) >= 3 and (n % step or n <= 4)
+    calls = _spy_im2col(monkeypatch)
+    itemsize = np.dtype(dtype).itemsize
+    # forward: (ho*wo, kh*kw*c) per image; input gradient: (h*w, kh*kw*f) per image
+    for which, image_bytes in ((0, ho * wo * kh * kw * c * itemsize), (2, h * w * kh * kw * f * itemsize)):
+        monkeypatch.setattr(T, "_IM2COL_BYTES", step * image_bytes)
+        calls.clear()
+        for i, (got, single) in enumerate(zip(_conv2d_results(*inputs, stride, pad), want)):
+            assert got.dtype == dtype
+            if i == 1 and x_shape == (4, 3, 9, 9):
+                assert np.abs(got - single).max() <= _DX_RTOL[dtype] * np.abs(single).max()
+            else:
+                np.testing.assert_array_equal(got, single)
+        gathers = _gathers(calls, n)  # forward, kernel gradient, input gradient
+        assert len(gathers) == 3 and gathers[1] == [n] and gathers[which] == chunks
+
+
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS)
+def test_conv2d_forward_memory_is_bounded(x_shape, k_shape, stride, pad):
+    """Beside its output, the forward holds at most one chunk of im2col (the budget, or one image's
+    matrix where that is larger) and the padded input."""
+    x, k, b, _ = _conv2d_inputs(np.random.default_rng(17), np.float32, x_shape, k_shape, stride, pad)
+    leaves = [T.Tensor(a, requires_grad=True) for a in (x, k, b)]
+    tracemalloc.start()
+    try:
+        with T.Tape():
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            y = T.conv2d(leaves[0], leaves[1], stride, pad, bias=leaves[2])
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n, c, h, w = x_shape
+    _, _, kh, kw = k_shape
+    image_cols = y.shape[2] * y.shape[3] * kh * kw * c * x.itemsize
+    padded = n * (h + 2 * pad) * (w + 2 * pad) * c * x.itemsize
+    assert peak - y.data.nbytes <= T._IM2COL_BYTES + image_cols + padded
+
+
+def _reachable_arrays(roots):
+    """Every array reachable from `roots` through slots, closures, containers and array bases."""
+    seen, arrays, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a cell not filled yet
+                    pass
+        elif hasattr(type(obj), "__slots__"):
+            stack.extend(getattr(obj, slot, None) for slot in type(obj).__slots__)
+    return arrays
+
+
+@pytest.mark.parametrize("arch,size", [("tiny", 28), ("small_residual", 32)])
+def test_tape_holds_no_dead_activations(monkeypatch, arch, size):
+    """After a recorded encoder pass, no array the tape reaches is a conv, group-norm or add output:
+    no backward reads them, so they are freed as soon as the next layer has run."""
+    outputs = []
+    for name in ("conv2d", "group_norm", "add"):
+        def spy(*args, _op=getattr(T, name), **kwargs):
+            out = _op(*args, **kwargs)
+            outputs.append(out.data)
+            return out
+
+        monkeypatch.setattr(T, name, spy)
+    config = M.EncoderConfig(arch=arch, input_channels=1, input_size=size)
+    pair = M.init_pair(config, seed=0)
+    batch = T.Tensor(np.random.default_rng(18).normal(size=(4, 1, size, size)).astype(np.float32))
+    with T.Tape() as tape:
+        M.encode(pair.q_params, batch, config)
+    assert len(outputs) == (2 + 2 if arch == "tiny" else 12 + 9 + 4)  # convs, group norms, adds
+    reachable = _reachable_arrays(tape.records)
+    assert any(a is pair.q_params["proj3.w"].data for a in reachable)  # the walk does reach arrays
+    assert not [a.shape for a in reachable for dead in outputs if np.may_share_memory(a, dead)]

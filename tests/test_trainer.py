@@ -1,6 +1,7 @@
 """Schedules, optimizers, and the pretraining loop."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -205,3 +206,23 @@ class TestPretrain:
         cfg = tiny_run_config(tmp_path, epochs=12, batch_size=16, dataset="unused")
         result = TR.pretrain(cfg, dataset=ds)
         assert result.epoch_losses[-1] < result.epoch_losses[0]
+
+
+# blake2b of checkpoint.bin after one seed-0 epoch. A change that moves a run's bytes on purpose updates
+# these pins and says so in CHANGES.md; any other change must leave them alone.
+_GOLDEN_CHECKPOINTS = {
+    # 2 steps at batch 16
+    "tiny": "ff120dc706eb11bf6fdb21e7df48b29574f681f1343cfc96b634c612e56e29e0"
+    "7395edd82dfba6fafe8101b673206d528f70ade0f40b70fd9e7f1a86f91fd88c",
+    # 1 step at batch 32: block 0's forward and input gradient gather im2col in two chunks
+    "small_residual": "63a9e1f61afcfcc39163117ea10ea25c1933a463306ce71ad466e311a91f6925"
+    "516429f2980d6fbc7256c7c67edf866bbb04231c609235f156f05306628293fd",
+}
+
+
+@pytest.mark.parametrize("arch,batch_size,steps", [("tiny", 16, 2), ("small_residual", 32, 1)])
+def test_golden_checkpoint_digest(tmp_path, arch, batch_size, steps):
+    cfg = tiny_run_config(tmp_path, epochs=1, batch_size=batch_size, arch=arch)
+    assert TR.pretrain(cfg).pair.step == steps
+    digest = hashlib.blake2b((tmp_path / "run" / "checkpoint.bin").read_bytes()).hexdigest()
+    assert digest == _GOLDEN_CHECKPOINTS[arch]
