@@ -64,12 +64,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         dataset = resolve_dataset(args.dataset, seed=_env_seed(args.seed))
     except (AmimvError, OSError) as exc:
         return _fail(EXIT_INPUT, str(exc))
+    name = _dataset_name(args.dataset)
     try:
         report = imbalance_metrics(label_histogram(dataset, "train"))
-        report.category = categorize(report, dataset_name=_dataset_name(args.dataset))
+        report.category = categorize(report, dataset_name=name)
     except (ValidationError, ContractError) as exc:
         return _fail(EXIT_PRECONDITION, str(exc))
-    name = _dataset_name(args.dataset)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "imbalance.csv"), report.to_csv_row(name))
     atomic_write_text(os.path.join(args.out, "imbalance.json"), report.to_json())

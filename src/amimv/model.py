@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -229,11 +229,7 @@ def save_checkpoint(pair: EncoderPair, directory: str) -> None:
         for n in names
     )
     manifest = {
-        "arch": pair.config.arch,
-        "input_channels": pair.config.input_channels,
-        "input_size": pair.config.input_size,
-        "projector_hidden": pair.config.projector_hidden,
-        "projector_out": pair.config.projector_out,
+        **asdict(pair.config),
         "momentum": pair.momentum,
         "step": pair.step,
         "dtype": "float32",
@@ -246,7 +242,8 @@ def save_checkpoint(pair: EncoderPair, directory: str) -> None:
     atomic_write_bytes(os.path.join(directory, "checkpoint.bin"), blob)
 
 
-_MANIFEST_INTS = ("input_channels", "input_size", "projector_hidden", "projector_out", "step")
+# the int fields of EncoderConfig, in order, then the EMA step count
+_MANIFEST_INTS = tuple(f.name for f in fields(EncoderConfig) if isinstance(f.default, int)) + ("step",)
 
 
 def load_checkpoint(directory: str) -> EncoderPair:
@@ -264,13 +261,7 @@ def load_checkpoint(directory: str) -> EncoderPair:
     momentum = manifest.get("momentum")
     if isinstance(momentum, bool) or not isinstance(momentum, (int, float)) or not 0.0 <= momentum <= 1.0:
         raise ValidationError(f"manifest momentum must be a number in [0,1], got {momentum!r}")
-    config = EncoderConfig(
-        arch=manifest["arch"],
-        input_channels=manifest["input_channels"],
-        input_size=manifest["input_size"],
-        projector_hidden=manifest["projector_hidden"],
-        projector_out=manifest["projector_out"],
-    )
+    config = EncoderConfig(**{f.name: manifest[f.name] for f in fields(EncoderConfig)})
     entries = [{"name": n, "shape": list(shape)} for n, shape in param_specs(config)]
     if manifest["dtype"] != "float32":
         raise ValidationError(f"checkpoint dtype {manifest['dtype']!r} is not float32")

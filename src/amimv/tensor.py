@@ -17,19 +17,22 @@ once the next layer has run (activation lifetimes, arXiv:1604.06174). An op
 output from another tape is a leaf on this one. Gradients are keyed by
 record or leaf and replayed in reverse recording order.
 
-All three conv2d products are im2col GEMMs, with one lowering: conv2d takes
-and returns NCHW, but its im2col gathers a channels-last [N,H,W,C] copy with
-columns in (kh, kw, c) order, one window-view copy that moves each kernel
-row's (kw, c) block as one run. The forward and the input gradient gather
+All three conv2d products are im2col GEMMs, with one lowering. conv2d runs at
+stride 1 with zero padding 0 <= p < kernel size, the only convs the encoders
+use. It takes and returns NCHW, but its im2col gathers a channels-last
+[N,H,W,C] copy with columns in (kh, kw, c) order, one window-view copy that
+moves each kernel row's (kw, c) block as one run. At stride 1 the input
+gradient is the correlation of g, padded by k-1-p, with the flipped kernel
+(arXiv:1603.07285), so the forward and the input gradient (skipped for an
+input that does not require one) run one helper on x and on g. It gathers
 the matrix a chunk of whole images at a time, at most _IM2COL_BYTES (8 MiB)
-per chunk, and multiply each chunk into its rows of one preallocated result
-(Caffe's column buffer, arXiv:1408.5093). The tape keeps a conv's input, not
-its im2col matrix (kh*kw times larger); the kernel gradient gathers the
-matrix again from the input, whole, for one GEMM over the batch. The input
-gradient (skipped for an input that does not require one) correlates the
-dilated, padded g with the flipped kernel. Group norm's input gradient is its
-closed form, two reductions per group. Every differentiable op is covered by
-finite-difference checks in the test suite.
+per chunk, and multiplies each chunk into its rows of one preallocated
+result (Caffe's column buffer, arXiv:1408.5093). The tape keeps a conv's
+input, not its im2col matrix (kh*kw times larger); the kernel gradient
+gathers the matrix again from the input, whole, for one GEMM over the batch.
+Group norm's input gradient is its closed form, two reductions per group.
+Every differentiable op is covered by finite-difference checks in the test
+suite.
 """
 
 from __future__ import annotations
@@ -405,95 +408,80 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float) 
 # convolution and pooling
 
 
-def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - k) // stride + 1
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
     n, h, w, c = x.shape
-    ho = _conv_out_size(h, kh, stride, pad)
-    wo = _conv_out_size(w, kw, stride, pad)
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     # x is [N,H,W,C]; rows (n, ho, wo), columns (kh, kw, c). The window view is copied once; where x's
     # rows are contiguous, each kernel row's (kw, c) block is one run, so the copy moves kw*c values at a time
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
     return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, kh * kw * c)
 
 
-def _lowered_gemm(gather: Callable, n: int, rows: int, width: int, dtype, wmat: np.ndarray) -> np.ndarray:
-    """``gather(0, n) @ wmat``, where ``gather(i, j)`` is the im2col matrix of images i..j-1, ``rows`` by
-    ``width`` per image and of ``dtype``. It is gathered for as many whole images at a time as fit in
-    _IM2COL_BYTES (at least one), each piece multiplied into its rows of one preallocated result
-    (Caffe's column buffer, arXiv:1408.5093). A GEMM row's sums do not depend on the other rows, so the
-    bytes are those of one whole-batch GEMM; the one exception is a piece small enough (a few hundred
-    rows by a few columns) for OpenBLAS's small-matrix kernel, which no encoder conv splits into."""
-    step = max(1, _IM2COL_BYTES // (rows * width * np.dtype(dtype).itemsize))
-    out = np.empty((n * rows, wmat.shape[1]), dtype=np.result_type(dtype, wmat.dtype))
+def _correlate(src: np.ndarray, kh: int, kw: int, ph: int, pw: int, wmat: np.ndarray) -> np.ndarray:
+    """Stride-1 cross-correlation of channels-last src [N,H,W,C], zero-padded by ph rows and pw columns
+    on each side, as ``_im2col(src, kh, kw, ph, pw) @ wmat`` for wmat [kh*kw*C, F]; returns [N,OH,OW,F].
+    The im2col matrix is gathered for as many whole images at a time as fit in _IM2COL_BYTES (at least
+    one), each piece multiplied into its rows of one preallocated result (Caffe's column buffer,
+    arXiv:1408.5093). A GEMM row's sums do not depend on the other rows, so the bytes are those of one
+    whole-batch GEMM; the one exception is a piece small enough (a few hundred rows by a few columns)
+    for OpenBLAS's small-matrix kernel, which no encoder conv splits into."""
+    n, h, w, c = src.shape
+    ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    rows = ho * wo
+    step = max(1, _IM2COL_BYTES // (rows * kh * kw * c * src.itemsize))
+    out = np.empty((n * rows, wmat.shape[1]), dtype=np.result_type(src.dtype, wmat.dtype))
     for i in range(0, n, step):
         j = min(i + step, n)
-        np.matmul(gather(i, j), wmat, out=out[i * rows : j * rows])
-    return out
+        np.matmul(_im2col(src[i:j], kh, kw, ph, pw), wmat, out=out[i * rows : j * rows])
+    return out.reshape(n, ho, wo, -1)
 
 
 def conv2d(
     x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *, bias: Tensor | None = None
 ) -> Tensor:
-    """2D cross-correlation with zero padding (no kernel flip) and an optional bias [F]."""
+    """2D cross-correlation at stride 1 with zero padding 0 <= padding < min(kh, kw) (no kernel flip) and
+    an optional bias [F]. ``stride`` must be 1; it stays in the signature for callers that spell it out."""
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4D input and kernel, got {x.shape} and {kernel.shape}")
-    n, c, h, w = x.shape
+    _, c, h, w = x.shape
     f, ck, kh, kw = kernel.shape
     if ck != c:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise DimensionError(f"conv2d stride must be an int >= 1, got {stride!r}")
-    if not isinstance(padding, (int, np.integer)) or padding < 0:
-        raise DimensionError(f"conv2d padding must be an int >= 0, got {padding!r}")
+    if not isinstance(stride, (int, np.integer)) or stride != 1:
+        raise DimensionError(f"conv2d stride must be 1, got {stride!r}")
+    if not isinstance(padding, (int, np.integer)) or not 0 <= padding < min(kh, kw):
+        raise DimensionError(f"conv2d padding must be an int in [0, {min(kh, kw) - 1}], got {padding!r}")
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise DimensionError(
             f"kernel {kernel.shape} larger than padded input {x.shape} (padding={padding})"
         )
-    ho = _conv_out_size(h, kh, stride, padding)
-    wo = _conv_out_size(w, kw, stride, padding)
     # _im2col works channels-last, the layout a view tensor's memory already has
     x_nhwc = x.data.transpose(0, 2, 3, 1)
     kdata = kernel.data
     need_dx, has_bias = x.requires_grad, bias is not None
 
-    def gather_x(i, j):
-        return _im2col(x_nhwc[i:j], kh, kw, stride, padding)
-
-    kmat = kdata.transpose(0, 2, 3, 1).reshape(f, -1).T
-    out = _lowered_gemm(gather_x, n, ho * wo, kh * kw * c, x_nhwc.dtype, kmat)
+    out = _correlate(x_nhwc, kh, kw, padding, padding, kdata.transpose(0, 2, 3, 1).reshape(f, -1).T)
     if has_bias:
         out += bias.data
-    out = np.ascontiguousarray(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
     def bwd(g):
         # g: (n,f,ho,wo)
-        g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # one copy serves dk and the dx gather
+        g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # one copy serves dk and dx
         # the tape keeps x, not its im2col matrix (kh*kw times the size of x): the kernel gradient
         # gathers it again, in one piece (arXiv:1604.06174)
-        cols = gather_x(0, n)
+        cols = _im2col(x_nhwc, kh, kw, padding, padding)
         dk = (g_nhwc.reshape(-1, f).T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
         del cols  # not alive beside dx's gather
         dx = None  # backward() drops the gradient of an input that does not require one
         if need_dx:
-            # dx correlates g, zero-dilated by the stride and padded by k-1-padding, with the flipped
-            # kernel (arXiv:1603.07285); where padding > k-1 that pad is negative, and a margin of
-            # eh, ew zeros lets the crop drop the rows of g that lie over the padding
-            eh, ew = max(padding + 1 - kh, 0), max(padding + 1 - kw, 0)
-            th, tw = kh - 1 - padding + eh, kw - 1 - padding + ew
-
-            def gather_g(i, j):
-                gp = np.zeros((j - i, h + kh - 1 + 2 * eh, w + kw - 1 + 2 * ew, f), dtype=g.dtype)
-                gp[:, th : th + stride * ho : stride, tw : tw + stride * wo : stride] = g_nhwc[i:j]
-                return _im2col(gp[:, eh : eh + h + kh - 1, ew : ew + w + kw - 1], kh, kw, 1, 0)
-
+            # at stride 1, dx is the full correlation of g, padded by k-1-padding, with the flipped
+            # kernel (arXiv:1603.07285): the forward's lowering run on g
             kflip = kdata[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
-            dx = _lowered_gemm(gather_g, n, h * w, kh * kw * f, g.dtype, kflip.T)
-            dx = dx.reshape(n, h, w, c).transpose(0, 3, 1, 2).astype(x_nhwc.dtype, copy=False)
+            dx = _correlate(g_nhwc, kh, kw, kh - 1 - padding, kw - 1 - padding, kflip.T)
+            dx = dx.transpose(0, 3, 1, 2).astype(x_nhwc.dtype, copy=False)
         grads = (dx, dk.astype(kdata.dtype, copy=False))
         return grads + (g.sum(axis=(0, 2, 3)),) if has_bias else grads
 

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -185,7 +185,7 @@ _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 
 def config_from_dict(data: dict, overrides: dict[str, str] | None = None) -> RunConfig:
     """Build a RunConfig from JSON data plus dotted-key CLI overrides."""
-    valid = {f.name: f.type for f in RunConfig.__dataclass_fields__.values()}
+    valid = {f.name for f in fields(RunConfig)}
     merged = dict(data)
     for key, raw in (overrides or {}).items():
         merged[key] = raw

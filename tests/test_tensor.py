@@ -71,14 +71,22 @@ class TestConv2d:
             (-1, 0, "stride .*got -1"),
             (1.5, 0, "stride .*got 1.5"),
             (1, -1, "padding .*got -1"),
+            (2, 0, "stride .*got 2"),
+            (1, 2, "padding .*got 2"),  # padding = kh = kw
         ],
     )
     def test_bad_stride_or_padding(self, stride, pad, message):
         with pytest.raises(DimensionError, match=message):
             T.conv2d(t(np.ones((1, 1, 4, 4))), t(np.ones((1, 1, 2, 2))), stride, pad)
 
+    @pytest.mark.parametrize("k_hw", [(2, 3), (3, 2)])
+    def test_padding_below_shorter_kernel_side(self, k_hw):
+        # padding 2 is kh for a 2x3 kernel and kw for a 3x2 one
+        with pytest.raises(DimensionError, match=r"padding .*\[0, 1\], got 2"):
+            T.conv2d(t(np.ones((1, 1, 4, 4))), t(np.ones((1, 1) + k_hw)), 1, 2)
+
     @pytest.mark.parametrize("h,w,kh,kw,stride,pad", [
-        (5, 5, 3, 3, 1, 0), (6, 7, 3, 2, 2, 1), (4, 4, 1, 1, 1, 0), (8, 5, 3, 3, 2, 0),
+        (5, 5, 3, 3, 1, 0), (6, 7, 3, 2, 1, 1), (4, 4, 1, 1, 1, 0), (8, 5, 3, 3, 1, 2),
     ])
     def test_output_shape_formula(self, h, w, kh, kw, stride, pad):
         out = T.conv2d(t(np.zeros((1, 1, h, w))), t(np.zeros((2, 1, kh, kw))), stride, pad)
@@ -207,15 +215,14 @@ class TestGradcheck:
         check_gradients(lambda x, y: T.sum_(T.mul(m := T.matmul(x, y), m)), [a, b])
 
     @pytest.mark.parametrize(
-        "stride,pad,k_hw",
-        [(1, 0, (3, 3)), (2, 1, (3, 3)), (1, 1, (3, 3)), (2, 3, (2, 3)), (1, 2, (1, 2))],
-        ids=["1-0", "2-1", "1-1", "2-3-k2x3", "1-2-k1x2"],
+        "pad,k_hw",
+        [(0, (3, 3)), (1, (3, 3)), (1, (2, 3)), (0, (3, 2)), (0, (1, 2))],
+        ids=["1-0", "1-1", "1-1-k2x3", "1-0-k3x2", "1-0-k1x2"],  # stride-padding[-kernel]
     )
-    def test_conv2d(self, stride, pad, k_hw):
-        # the last two have padding >= kh: the rows of g over the padding are cropped from dx's input
+    def test_conv2d(self, pad, k_hw):
         x, k = _shapes([(2, 2, 5, 5), (3, 2) + k_hw])
         check_gradients(
-            lambda a, b: T.sum_(T.mul(c := T.conv2d(a, b, stride, pad), c)), [x, k]
+            lambda a, b: T.sum_(T.mul(c := T.conv2d(a, b, 1, pad), c)), [x, k]
         )
 
     def test_add_sub_mul_div(self):
@@ -278,21 +285,15 @@ class TestGradcheck:
 class TestShapeAlgebraProperty:
     @given(
         h=st.integers(3, 20), w=st.integers(3, 20),
-        kh=st.integers(1, 5), kw=st.integers(1, 5),
-        stride=st.integers(1, 3), pad=st.integers(0, 2),
+        kh=st.integers(1, 5), kw=st.integers(1, 5), data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_conv_output_shape(self, h, w, kh, kw, stride, pad):
+    def test_conv_output_shape(self, h, w, kh, kw, data):
+        pad = data.draw(st.integers(0, min(kh, kw) - 1), label="pad")
         if kh > h + 2 * pad or kw > w + 2 * pad:
             return
-        out = T.conv2d(
-            T.Tensor(np.zeros((1, 1, h, w))), T.Tensor(np.zeros((1, 1, kh, kw))), stride, pad
-        )
-        assert out.shape == (
-            1, 1,
-            (h + 2 * pad - kh) // stride + 1,
-            (w + 2 * pad - kw) // stride + 1,
-        )
+        out = T.conv2d(T.Tensor(np.zeros((1, 1, h, w))), T.Tensor(np.zeros((1, 1, kh, kw))), 1, pad)
+        assert out.shape == (1, 1, h + 2 * pad - kh + 1, w + 2 * pad - kw + 1)
 
 
 def test_determinism_bitwise():
@@ -539,7 +540,8 @@ def _reference_conv2d(x, k, b, stride, pad, g):
     return out, dx, dk, g.sum(axis=(0, 2, 3))
 
 
-# (input shape, kernel shape, stride, padding): every encoder conv layer, then stride 2
+# (input shape, kernel shape, stride, padding): every encoder conv layer, then odd sizes and non-square
+# kernels
 _ENCODER_CONVS = [
     ((64, 1, 28, 28), (8, 1, 3, 3), 1, 1),  # tiny conv1, batch 64
     ((64, 8, 14, 14), (16, 8, 3, 3), 1, 1),  # tiny conv2
@@ -557,9 +559,9 @@ _ENCODER_CONVS = [
     ((32, 128, 4, 4), (256, 128, 3, 3), 1, 1),  # block3
     ((32, 256, 4, 4), (256, 256, 3, 3), 1, 1),
     ((32, 128, 4, 4), (256, 128, 1, 1), 1, 0),
-    ((4, 3, 9, 9), (5, 3, 3, 3), 2, 0),
-    ((4, 3, 9, 9), (5, 3, 3, 3), 2, 1),
-    ((3, 2, 10, 11), (4, 2, 2, 3), 2, 2),
+    ((4, 3, 9, 9), (5, 3, 3, 3), 1, 0),
+    ((4, 3, 9, 9), (5, 3, 3, 2), 1, 1),
+    ((3, 2, 10, 11), (4, 2, 2, 3), 1, 1),
 ]
 
 
@@ -569,13 +571,13 @@ _DX_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
 
 
 def _keep_cols_conv2d(x, kernel, stride, padding, *, bias):
-    """conv2d as it was when its backward closure kept the forward's im2col matrix; the shape checks are
-    left out. T.conv2d gathers that matrix again in backward and must match this byte for byte."""
+    """conv2d as it was when its backward closure kept the forward's im2col matrix and its input gradient
+    placed g in a zeroed buffer; the shape checks are left out, and stride is 1. T.conv2d gathers that
+    matrix again in backward and must match this byte for byte."""
     n, c, h, w = x.shape
     f, _, kh, kw = kernel.shape
-    ho = T._conv_out_size(h, kh, stride, padding)
-    wo = T._conv_out_size(w, kw, stride, padding)
-    cols = T._im2col(x.data.transpose(0, 2, 3, 1), kh, kw, stride, padding)
+    ho, wo = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+    cols = T._im2col(x.data.transpose(0, 2, 3, 1), kh, kw, padding, padding)
     out = cols @ kernel.data.transpose(0, 2, 3, 1).reshape(f, -1).T
     out += bias.data
     out = np.ascontiguousarray(out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
@@ -583,11 +585,10 @@ def _keep_cols_conv2d(x, kernel, stride, padding, *, bias):
     def bwd(g):
         g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
         dk = (g_nhwc.reshape(-1, f).T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
-        eh, ew = max(padding + 1 - kh, 0), max(padding + 1 - kw, 0)
-        gp = np.zeros((n, h + kh - 1 + 2 * eh, w + kw - 1 + 2 * ew, f), dtype=g.dtype)
-        th, tw = kh - 1 - padding + eh, kw - 1 - padding + ew
-        gp[:, th : th + stride * ho : stride, tw : tw + stride * wo : stride] = g_nhwc
-        gcols = T._im2col(gp[:, eh : eh + h + kh - 1, ew : ew + w + kw - 1], kh, kw, 1, 0)
+        gp = np.zeros((n, h + kh - 1, w + kw - 1, f), dtype=g.dtype)
+        th, tw = kh - 1 - padding, kw - 1 - padding
+        gp[:, th : th + ho, tw : tw + wo] = g_nhwc
+        gcols = T._im2col(gp, kh, kw, 0, 0)
         kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
         dx = (gcols @ kflip.T).reshape(n, h, w, c).transpose(0, 3, 1, 2).astype(x.dtype, copy=False)
         return dx, dk.astype(kernel.dtype, copy=False), g.sum(axis=(0, 2, 3))
@@ -636,16 +637,31 @@ def test_conv2d_bitwise_equals_tensordot_reference(dtype, x_shape, k_shape, stri
     _check_conv2d_against_reference(np.random.default_rng(5), dtype, x_shape, k_shape, stride, pad)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS)
+def test_conv2d_input_gradient_is_the_forward_on_g(dtype, x_shape, k_shape, stride, pad):
+    """dx is byte-equal to conv2d's own forward run on g, padded by k-1-pad, with the flipped kernel, its
+    in and out channels swapped (arXiv:1603.07285). conv2d takes one padding for both axes, so for a
+    non-square kernel g is first zero-padded on the longer kernel side by the difference."""
+    x, k, b, g = _conv2d_inputs(np.random.default_rng(19), dtype, x_shape, k_shape, stride, pad)
+    dx = _conv2d_results(x, k, b, g, stride, pad)[1]
+    qh, qw = k_shape[2] - 1 - pad, k_shape[3] - 1 - pad
+    q = min(qh, qw)
+    g = np.pad(g, ((0, 0), (0, 0), (qh - q, qh - q), (qw - q, qw - q)))
+    kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    np.testing.assert_array_equal(dx, T.conv2d(T.Tensor(g), T.Tensor(kflip), 1, q).data)
+
+
 @given(
     n=st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
     h=st.integers(3, 9), w=st.integers(3, 9), kh=st.integers(1, 3), kw=st.integers(1, 3),
-    stride=st.integers(1, 3), pad=st.integers(0, 2), dtype=st.sampled_from([np.float32, np.float64]),
-    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1), data=st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_conv2d_matches_reference_any_shape(n, c, f, h, w, kh, kw, stride, pad, dtype, seed):
+def test_conv2d_matches_reference_any_shape(n, c, f, h, w, kh, kw, dtype, seed, data):
+    pad = data.draw(st.integers(0, min(kh, kw) - 1), label="pad")
     rng = np.random.default_rng(seed)
-    _check_conv2d_against_reference(rng, dtype, (n, c, h, w), (f, c, kh, kw), stride, pad)
+    _check_conv2d_against_reference(rng, dtype, (n, c, h, w), (f, c, kh, kw), 1, pad)
 
 
 def test_conv2d_skips_gradient_of_constant_input():
@@ -741,9 +757,9 @@ def test_conv2d_chunked_equals_single_chunk(monkeypatch, dtype, x_shape, k_shape
     Under one budget the forward's gather splits, under the other the input gradient's, each into at
     least 3 chunks with a shorter last one (for n <= 4 there are n chunks of one image).
 
-    One exception: the dx GEMM of the two (4, 3, 9, 9) stride-2 cases has 3 columns and 45-term sums,
-    and OpenBLAS's small-matrix path rounds an 81-row product of that shape in another order than the
-    324-row one (plain ``A[:81] @ B`` differs from ``(A @ B)[:81]`` there too). Their dx is held to
+    One exception: the dx GEMM of the (4, 3, 9, 9) case with a 3x3 kernel has 3 columns and 45-term
+    sums, and OpenBLAS's small-matrix path rounds an 81-row product of that shape in another order than
+    the 324-row one (plain ``A[:81] @ B`` differs from ``(A @ B)[:81]`` there too). Its dx is held to
     _DX_RTOL. The encoders never meet this: a split needs more than _IM2COL_BYTES of im2col, and no
     dx GEMM of theirs has fewer than 8 columns."""
     inputs = _conv2d_inputs(np.random.default_rng(16), dtype, x_shape, k_shape, stride, pad)
@@ -763,7 +779,7 @@ def test_conv2d_chunked_equals_single_chunk(monkeypatch, dtype, x_shape, k_shape
         calls.clear()
         for i, (got, single) in enumerate(zip(_conv2d_results(*inputs, stride, pad), want)):
             assert got.dtype == dtype
-            if i == 1 and x_shape == (4, 3, 9, 9):
+            if i == 1 and k_shape == (5, 3, 3, 3):
                 assert np.abs(got - single).max() <= _DX_RTOL[dtype] * np.abs(single).max()
             else:
                 np.testing.assert_array_equal(got, single)

@@ -220,9 +220,21 @@ _GOLDEN_CHECKPOINTS = {
 }
 
 
+# blake2b of the manifest.json written beside each of those checkpoints: its keys, their order and the
+# JSON text are part of the checkpoint format
+_GOLDEN_MANIFESTS = {
+    "tiny": "0a5aaf8bb473755197acaf8bcf5277b89d578cf0da5e628e63d002f4227c0b47"
+    "f776cf4fc911607d66a7eb25511f701db4da882c53bd761df2f240895bd661e8",
+    "small_residual": "24cc5fc59be38a8d50e2bccdbccc2bb1a68ceb1d18c0d704326c8acd83a698be"
+    "575583882ff4ed405a3e844845095ab92d49cd3002fbbc52e46d08b1c7e7ac55",
+}
+
+
 @pytest.mark.parametrize("arch,batch_size,steps", [("tiny", 16, 2), ("small_residual", 32, 1)])
 def test_golden_checkpoint_digest(tmp_path, arch, batch_size, steps):
     cfg = tiny_run_config(tmp_path, epochs=1, batch_size=batch_size, arch=arch)
     assert TR.pretrain(cfg).pair.step == steps
     digest = hashlib.blake2b((tmp_path / "run" / "checkpoint.bin").read_bytes()).hexdigest()
     assert digest == _GOLDEN_CHECKPOINTS[arch]
+    manifest = hashlib.blake2b((tmp_path / "run" / "manifest.json").read_bytes()).hexdigest()
+    assert manifest == _GOLDEN_MANIFESTS[arch]
