@@ -1,14 +1,16 @@
 """Command-line entry point: analyze | pretrain | probe | report.
 
-Exit codes: 0 success, 2 input/config error, 3 domain precondition
-failure (running out of memory included), 4 numeric failure. All outputs
-are written atomically.
+Each subcommand reads its inputs, computes and writes; `main` alone maps
+an error to an exit code: 0 success, 2 input/config error (an output
+directory that cannot be created or written included), 3 domain
+precondition failure (running out of memory included), 4 numeric
+failure. All outputs are written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
 import os
 import sys
@@ -19,8 +21,8 @@ from . import charts
 from . import evaluation as E
 from . import model as M
 from . import trainer as TR
-from .datasets import label_histogram, resolve_dataset
-from .errors import AmimvError, ContractError, FormatError, NumericError, ValidationError
+from .datasets import ImageDataset, label_histogram, resolve_dataset
+from .errors import AmimvError, ContractError, NumericError, ValidationError
 from .fsutil import atomic_write_text
 from .imbalance import categorize, imbalance_metrics
 
@@ -28,6 +30,21 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
+
+
+class _InputError(Exception):
+    """A subcommand's input (a file, a value, the environment) is at fault."""
+
+
+@contextlib.contextmanager
+def _input(prefix: str = ""):
+    """Read inputs: any error but a numeric or contract one is the input's fault."""
+    try:
+        yield
+    except (NumericError, ContractError):
+        raise
+    except (AmimvError, OSError, ValueError, KeyError) as exc:
+        raise _InputError(prefix + str(exc)) from exc
 
 
 def _env_seed(explicit: int | None) -> int:
@@ -43,11 +60,6 @@ def _env_seed(explicit: int | None) -> int:
     return seed
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _dataset_name(spec: str) -> str:
     if spec.startswith("synthetic:"):
         return "synthetic"
@@ -55,26 +67,36 @@ def _dataset_name(spec: str) -> str:
     return base.removesuffix(".npz")
 
 
+def _load_run(run_dir: str, spec: str, seed: int) -> tuple[M.EncoderPair, ImageDataset]:
+    pair = M.load_checkpoint(run_dir)
+    dataset = resolve_dataset(spec, seed=seed)
+    if pair.config.input_channels != dataset.channels:
+        raise ValidationError(
+            f"checkpoint expects {pair.config.input_channels} channel(s), "
+            f"dataset has {dataset.channels}"
+        )
+    return pair, dataset
+
+
+def _write(out: str, files: dict[str, str]) -> None:
+    os.makedirs(out, exist_ok=True)
+    for name, text in files.items():
+        atomic_write_text(os.path.join(out, name), text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
+def cmd_analyze(args: argparse.Namespace) -> None:
+    with _input():
         dataset = resolve_dataset(args.dataset, seed=_env_seed(args.seed))
-    except (AmimvError, OSError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
     name = _dataset_name(args.dataset)
-    try:
-        report = imbalance_metrics(label_histogram(dataset, "train"))
-        report.category = categorize(report, dataset_name=name)
-    except (ValidationError, ContractError) as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "imbalance.csv"), report.to_csv_row(name))
-    atomic_write_text(os.path.join(args.out, "imbalance.json"), report.to_json())
-    print(report.to_csv_row(name).splitlines()[1])
-    return EXIT_OK
+    report = imbalance_metrics(label_histogram(dataset, "train"))
+    report.category = categorize(report, dataset_name=name)
+    row = report.to_csv_row(name)
+    _write(args.out, {"imbalance.csv": row, "imbalance.json": report.to_json()})
+    print(row.splitlines()[1])
 
 
 def _parse_overrides(extra: list[str]) -> dict[str, str]:
@@ -98,107 +120,71 @@ def _parse_overrides(extra: list[str]) -> dict[str, str]:
     return overrides
 
 
-def cmd_pretrain(args: argparse.Namespace, extra: list[str]) -> int:
-    try:
-        data = {}
-        if args.config:
+def cmd_pretrain(args: argparse.Namespace) -> None:
+    data = {}
+    if args.config:
+        with _input("config: "):
             with open(args.config) as fh:
                 data = json.load(fh)
             if not isinstance(data, dict):
-                raise ValidationError(f"config: expected a JSON object, got {type(data).__name__}")
-        overrides = _parse_overrides(extra)
+                raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
+    with _input():
+        overrides = _parse_overrides(args.extra)
         if args.out:
             overrides["out_dir"] = args.out
-        if "seed" not in data and "seed" not in overrides and "AMIMV_SEED" in os.environ:
-            overrides["seed"] = os.environ["AMIMV_SEED"]
+        if "seed" not in data and "seed" not in overrides:
+            overrides["seed"] = str(_env_seed(None))
         config = TR.config_from_dict(data, overrides)
-    except (json.JSONDecodeError, OSError) as exc:
-        return _fail(EXIT_INPUT, f"config: {exc}")
-    except (ValidationError, ValueError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
         result = TR.pretrain(config)
-    except NumericError as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
-    except (ValidationError, FormatError, OSError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except ContractError as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
     print(f"pretrained {config.epochs} epochs; final loss {result.epoch_losses[-1]:.4f}")
     print(f"artifacts in {config.out_dir}")
-    return EXIT_OK
 
 
-def cmd_probe(args: argparse.Namespace) -> int:
-    try:
+def cmd_probe(args: argparse.Namespace) -> None:
+    with _input():
         seed = _env_seed(args.seed)
         probe_cfg = E.ProbeConfig(epochs=args.epochs, seed=seed)
-        pair = M.load_checkpoint(args.run_dir)
-        dataset = resolve_dataset(args.dataset, seed=seed)
-    except (AmimvError, OSError, json.JSONDecodeError, KeyError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    if pair.config.input_channels != dataset.channels:
-        return _fail(
-            EXIT_INPUT,
-            f"checkpoint expects {pair.config.input_channels} channel(s), "
-            f"dataset has {dataset.channels}",
-        )
-    try:
-        train_x, train_y = E.extract_features(pair, dataset, "train")
-        test_x, test_y = E.extract_features(pair, dataset, "test")
-        probe = E.linear_probe(train_x, train_y, probe_cfg, num_classes=dataset.num_classes)
-        report = E.classification_metrics(probe.scores(test_x), test_y)
-    except NumericError as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
-    except (ValidationError, ContractError) as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
-    out = args.out or args.run_dir
-    os.makedirs(out, exist_ok=True)
-    atomic_write_text(os.path.join(out, "eval.csv"), report.to_csv())
-    atomic_write_text(os.path.join(out, "eval.json"), report.to_json())
-    atomic_write_text(os.path.join(out, "confusion.csv"), report.confusion_csv())
+        pair, dataset = _load_run(args.run_dir, args.dataset, seed)
+    train_x, train_y = E.extract_features(pair, dataset, "train")
+    test_x, test_y = E.extract_features(pair, dataset, "test")
+    probe = E.linear_probe(train_x, train_y, probe_cfg, num_classes=dataset.num_classes)
+    report = E.classification_metrics(probe.scores(test_x), test_y)
+    _write(
+        args.out or args.run_dir,
+        {"eval.csv": report.to_csv(), "eval.json": report.to_json(), "confusion.csv": report.confusion_csv()},
+    )
     print(f"accuracy {report.accuracy:.4f}  macro_auc {report.macro_auc:.4f}")
-    return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    eval_path = os.path.join(args.run_dir, "eval.json")
-    confusion_path = os.path.join(args.run_dir, "confusion.csv")
-    try:
-        with open(eval_path) as fh:
-            eval_data = json.load(fh)
+def cmd_report(args: argparse.Namespace) -> None:
+    with _input("eval.json: "):
+        # integers parse as floats, so one too large for a float reads as inf, not an overflow
+        with open(os.path.join(args.run_dir, "eval.json")) as fh:
+            eval_data = json.load(fh, parse_int=float)
         accs = eval_data.get("per_class_accuracy") if isinstance(eval_data, dict) else None
-        if not isinstance(accs, list) or not all(
-            a is None or (isinstance(a, (int, float)) and not isinstance(a, bool)) for a in accs
-        ):
-            raise ValidationError(f"{eval_path}: per_class_accuracy must be a list of numbers or nulls")
-        with open(confusion_path) as fh:
-            confusion = np.array([[int(v) for v in row] for row in csv.reader(fh)])
-        pair = M.load_checkpoint(args.run_dir)
-        dataset = resolve_dataset(args.dataset, seed=_env_seed(args.seed))
-    except (AmimvError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        feats, labels = E.extract_features(pair, dataset, "test")
-        coords, _, _ = E.pca_project(feats, k=2)
-    except (ValidationError, ContractError) as exc:
-        return _fail(EXIT_PRECONDITION, str(exc))
-    accs = [0.0 if a is None else float(a) for a in accs]
+        if not (isinstance(accs, list) and accs and all(a is None or isinstance(a, float) for a in accs)):
+            raise ValidationError("per_class_accuracy must be a non-empty list of numbers or nulls")
+    with _input("confusion.csv: "):
+        with open(os.path.join(args.run_dir, "confusion.csv")) as fh:
+            rows = [[int(v) for v in line.split(",")] for line in fh]
+        c = len(accs)
+        if not (len(rows) == c and all(len(r) == c and all(0 <= v < 2**63 for v in r) for r in rows)):
+            raise ValidationError(f"expected a {c}x{c} table of integers in [0, 2**63)")
+    with _input():
+        pair, dataset = _load_run(args.run_dir, args.dataset, _env_seed(args.seed))
+    feats, labels = E.extract_features(pair, dataset, "test")
+    coords, _, _ = E.pca_project(feats, k=2)
+    accs = [0.0 if a is None else a for a in accs]
     out = args.out or args.run_dir
-    os.makedirs(out, exist_ok=True)
-    atomic_write_text(
-        os.path.join(out, "per_class.svg"),
-        charts.bar_chart(accs, [str(c) for c in range(len(accs))], "Per-class accuracy"),
-    )
-    atomic_write_text(
-        os.path.join(out, "confusion.svg"), charts.heatmap(confusion, "Confusion matrix")
-    )
-    atomic_write_text(
-        os.path.join(out, "embedding.svg"),
-        charts.scatter(coords, labels, "Test features (PCA)"),
+    _write(
+        out,
+        {
+            "per_class.svg": charts.bar_chart(accs, [str(i) for i in range(len(accs))], "Per-class accuracy"),
+            "confusion.svg": charts.heatmap(np.array(rows), "Confusion matrix"),
+            "embedding.svg": charts.scatter(coords, labels, "Test features (PCA)"),
+        },
     )
     print(f"wrote per_class.svg, confusion.svg, embedding.svg to {out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +223,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"analyze": cmd_analyze, "pretrain": cmd_pretrain, "probe": cmd_probe, "report": cmd_report}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     if extra and args.command != "pretrain":
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.extra = extra
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "pretrain":
-            return cmd_pretrain(args, extra)
-        if args.command == "probe":
-            return cmd_probe(args)
-        return cmd_report(args)
+        _COMMANDS[args.command](args)
+        return EXIT_OK
+    except (_InputError, OSError) as exc:
+        code, message = EXIT_INPUT, str(exc)
+    except NumericError as exc:
+        code, message = EXIT_NUMERIC, str(exc)
+    except AmimvError as exc:
+        code, message = EXIT_PRECONDITION, str(exc)
     except MemoryError as exc:  # e.g. a synthetic spec whose images do not fit in memory
-        return _fail(EXIT_PRECONDITION, (str(exc) or "out of memory").splitlines()[0])
+        code, message = EXIT_PRECONDITION, (str(exc) or "out of memory").splitlines()[0]
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ class CategoryThresholds:
     ir_imbalanced: float = 7.0
     ir_partial: float = 4.0
     min_count_small: int = 2000
-    rcr_high: float = 20.0
     overrides: dict[str, str] = field(default_factory=lambda: dict(MEDMNIST_CATEGORY_OVERRIDES))
 
 
@@ -124,11 +123,7 @@ def categorize(
             return th.overrides[key]
     if report.ir >= th.ir_imbalanced:
         return "I"
-    min_count = report.rcr / 100.0 * report.total
-    if (
-        (report.rcr >= th.rcr_high and min_count < th.min_count_small)
-        or th.ir_partial <= report.ir < th.ir_imbalanced
-        or min_count < th.min_count_small
-    ):
+    min_count = round(report.rcr * report.total / 100.0)  # the rarest class's count, exactly
+    if report.ir >= th.ir_partial or min_count < th.min_count_small:
         return "PI"
     return "FB"

@@ -3,6 +3,7 @@ cross-image loss with a stop-gradient key branch."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,8 @@ class LossConfig:
     fusion: str = "mean_norm"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValidationError(f"temperature must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValidationError(f"temperature must be finite and positive, got {self.tau}")
         if self.fusion not in FUSION_KINDS:
             raise ValidationError(f"unknown fusion {self.fusion!r}; choose from {FUSION_KINDS}")
 

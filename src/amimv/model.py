@@ -23,6 +23,7 @@ from .tensor import Tensor
 
 GN_EPS = 1e-5
 GN_GROUPS = 8
+INPUT_DIVISOR = {"tiny": 4, "small_residual": 16}  # the encoder's total downsampling
 
 
 @dataclass
@@ -34,9 +35,9 @@ class EncoderConfig:
     projector_out: int = 128
 
     def __post_init__(self):
-        if self.arch not in ("tiny", "small_residual"):
+        if self.arch not in INPUT_DIVISOR:
             raise ValidationError(f"unknown arch {self.arch!r}")
-        divisor = 4 if self.arch == "tiny" else 16
+        divisor = INPUT_DIVISOR[self.arch]
         if self.input_size % divisor:
             raise ValidationError(
                 f"{self.arch} needs input_size divisible by {divisor}, got {self.input_size}"

@@ -151,6 +151,8 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("amimv", "simclr_baseline"):
             raise ValidationError(f"unknown mode {self.mode!r}")
+        if self.arch not in M.INPUT_DIVISOR:
+            raise ValidationError(f"unknown arch {self.arch!r}")
         if self.ema_placement not in ("before", "after"):
             raise ValidationError(f"ema_placement must be before/after, got {self.ema_placement!r}")
         if self.epochs < 1:
@@ -253,8 +255,7 @@ def resolve_view_size(config: RunConfig, dataset: ImageDataset) -> int:
     if config.view_size:
         return config.view_size
     size = dataset.image_size
-    divisor = 4 if config.arch == "tiny" else 16
-    if size % divisor == 0:
+    if size % M.INPUT_DIVISOR[config.arch] == 0:
         return size
     return 64  # the published recipe's resize target
 

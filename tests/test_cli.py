@@ -427,3 +427,93 @@ class TestSeeds:
         assert main([command, *args]) == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+def _report_run(run, trained_run, eval_text, confusion_text):
+    """A run dir holding trained_run's checkpoint and the given probe outputs."""
+    os.makedirs(run, exist_ok=True)
+    for name in ("manifest.json", "checkpoint.bin"):
+        shutil.copy(os.path.join(trained_run, name), os.path.join(run, name))
+    with open(os.path.join(run, "eval.json"), "w", encoding="utf-8") as fh:
+        fh.write(eval_text)
+    with open(os.path.join(run, "confusion.csv"), "w", encoding="utf-8") as fh:
+        fh.write(confusion_text)
+
+
+_TWO_CLASS_EVAL = json.dumps({"per_class_accuracy": [0.5, 0.5]})
+
+# for n classes: arbitrary text, or the JSON and CSV shapes that probe writes
+# filled with arbitrary values, so some inputs get through to the charts
+_REPORT_INPUTS = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.one_of(
+            st.text(),
+            st.lists(
+                st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=2)),
+                min_size=n, max_size=n,
+            ).map(lambda accs: json.dumps({"per_class_accuracy": accs})),
+        ),
+        st.one_of(
+            st.text(),
+            st.lists(st.lists(st.integers(min_value=-1), min_size=n, max_size=n), min_size=n, max_size=n).map(
+                lambda rows: "".join(",".join(map(str, row)) + "\n" for row in rows)
+            ),
+        ),
+    )
+)
+
+
+class TestBoundary:
+    """Every subcommand's bad input exits 2 with one line and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["analyze", "pretrain", "probe", "report"])
+    def test_out_names_a_file_exit_2(self, charts_dir, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        args = {
+            "analyze": [SMALL_SYNTH],
+            "pretrain": ["--dataset", SMALL_SYNTH, "--epochs", "1", "--batch_size", "8"],
+            "probe": [str(charts_dir), SMALL_SYNTH, "--epochs", "1"],
+            "report": [str(charts_dir), SMALL_SYNTH],
+        }[command]
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert out.read_text() == "keep" and os.listdir(tmp_path) == ["taken"]
+
+    def test_report_channel_mismatch_exit_2(self, tmp_path, capsys):
+        from amimv import model as M
+
+        cfg = M.EncoderConfig(arch="tiny", input_channels=3, input_size=16)
+        M.save_checkpoint(M.init_pair(cfg, seed=0), str(tmp_path))
+        (tmp_path / "eval.json").write_text(_TWO_CLASS_EVAL)
+        (tmp_path / "confusion.csv").write_text("1,0\n0,1\n")
+        assert main(["report", str(tmp_path), SMALL_SYNTH]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "channel" in err
+        assert not list(tmp_path.glob("*.svg"))
+
+    @pytest.mark.parametrize(
+        "confusion",
+        ["", "\n", "1,2\n", "-1,0\n0,1\n", "1,0,0\n0,1,0\n0,0,1\n", "a,b\nc,d\n"],
+        ids=["empty", "blank-line", "one-row", "negative", "3x3", "letters"],
+    )
+    def test_bad_confusion_csv_exit_2(self, trained_run, tmp_path, capsys, confusion):
+        run, out = tmp_path / "run", tmp_path / "charts"
+        _report_run(run, trained_run, _TWO_CLASS_EVAL, confusion)
+        assert main(["report", str(run), SMALL_SYNTH, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "confusion.csv" in err
+        assert not out.exists() and not list(run.glob("*.svg"))
+
+    @given(inputs=_REPORT_INPUTS)
+    @settings(max_examples=100, deadline=None)
+    def test_no_report_input_ends_in_exit_1(self, trained_run, inputs):
+        eval_text, confusion = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            run = os.path.join(tmp, "run")
+            _report_run(run, trained_run, eval_text, confusion)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["report", run, SMALL_SYNTH, "--out", os.path.join(tmp, "charts")])
+        assert code in (0, 2, 3)
+        assert err.getvalue().count("\n") <= 1

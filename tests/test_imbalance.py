@@ -102,6 +102,33 @@ class TestCategorize:
         assert categorize(r, CategoryThresholds(overrides={})) == "PI"
 
 
+def _reference_category(report, th, min_count):
+    """The rule as first written, with its redundant clauses, on the exact rarest-class count."""
+    if report.ir >= th.ir_imbalanced:
+        return "I"
+    if (
+        (report.rcr >= 20.0 and min_count < th.min_count_small)
+        or th.ir_partial <= report.ir < th.ir_imbalanced
+        or min_count < th.min_count_small
+    ):
+        return "PI"
+    return "FB"
+
+
+class TestCategorizeRule:
+    @given(counts=st.lists(st.integers(1, 4000), min_size=2, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_rule(self, counts):
+        report = imbalance_metrics(LabelHistogram(counts))
+        th = CategoryThresholds(overrides={})
+        assert categorize(report, th) == _reference_category(report, th, min(counts))
+
+    def test_rarest_count_at_the_small_threshold_is_exact(self):
+        # rcr / 100 * total reads 1999.9999999999998 here, which would make it PI
+        report = imbalance_metrics(LabelHistogram([2000, 2012]))
+        assert categorize(report, CategoryThresholds(overrides={})) == "FB"
+
+
 class TestSerialization:
     def test_csv_row_column_order(self):
         r = imbalance_metrics(LabelHistogram(DERMA_TRAIN_COUNTS))

@@ -159,6 +159,11 @@ class TestLossConfig:
         with pytest.raises(ValidationError):
             L.LossConfig(tau=0.0)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tau(self, tau):
+        with pytest.raises(ValidationError, match="temperature"):
+            L.LossConfig(tau=tau)
+
     def test_bad_fusion(self):
         with pytest.raises(ValidationError):
             L.LossConfig(fusion="sum")

@@ -131,6 +131,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match="standardize_augmented"):
             TR.config_from_dict({}, {"standardize_augmented": raw})
 
+    def test_unknown_arch_rejected(self):
+        # before any dataset is resolved, and by name rather than as a missing divisor
+        with pytest.raises(ValidationError, match="unknown arch 'resnet'"):
+            TR.config_from_dict({}, {"arch": "resnet"})
+
 
 def tiny_run_config(tmp_path, **kw):
     defaults = dict(
