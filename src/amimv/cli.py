@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -78,6 +79,17 @@ def _load_run(run_dir: str, spec: str, seed: int) -> tuple[M.EncoderPair, ImageD
     return pair, dataset
 
 
+def _check_out(out: str) -> None:
+    """Fail before any compute where _write could not make or write the directory `out`."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"--out {out}: {path} is not a directory")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(f"--out {out}: {path} is not writable")
+
+
 def _write(out: str, files: dict[str, str]) -> None:
     os.makedirs(out, exist_ok=True)
     for name, text in files.items():
@@ -90,6 +102,7 @@ def _write(out: str, files: dict[str, str]) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> None:
     with _input():
+        _check_out(args.out)
         dataset = resolve_dataset(args.dataset, seed=_env_seed(args.seed))
     name = _dataset_name(args.dataset)
     report = imbalance_metrics(label_histogram(dataset, "train"))
@@ -141,7 +154,9 @@ def cmd_pretrain(args: argparse.Namespace) -> None:
 
 
 def cmd_probe(args: argparse.Namespace) -> None:
+    out = args.out or args.run_dir
     with _input():
+        _check_out(out)
         seed = _env_seed(args.seed)
         probe_cfg = E.ProbeConfig(epochs=args.epochs, seed=seed)
         pair, dataset = _load_run(args.run_dir, args.dataset, seed)
@@ -150,20 +165,29 @@ def cmd_probe(args: argparse.Namespace) -> None:
     probe = E.linear_probe(train_x, train_y, probe_cfg, num_classes=dataset.num_classes)
     report = E.classification_metrics(probe.scores(test_x), test_y)
     _write(
-        args.out or args.run_dir,
+        out,
         {"eval.csv": report.to_csv(), "eval.json": report.to_json(), "confusion.csv": report.confusion_csv()},
     )
     print(f"accuracy {report.accuracy:.4f}  macro_auc {report.macro_auc:.4f}")
 
 
+def _is_accuracy(value) -> bool:
+    """A number in [0, 1], or NaN or null: probe writes NaN for a class with no test images, which the
+    bar chart draws as 0; a value outside [0, 1] would draw a bar of negative height or off the chart."""
+    return value is None or isinstance(value, float) and (math.isnan(value) or 0.0 <= value <= 1.0)
+
+
 def cmd_report(args: argparse.Namespace) -> None:
+    out = args.out or args.run_dir
+    with _input():
+        _check_out(out)
     with _input("eval.json: "):
         # integers parse as floats, so one too large for a float reads as inf, not an overflow
         with open(os.path.join(args.run_dir, "eval.json")) as fh:
             eval_data = json.load(fh, parse_int=float)
         accs = eval_data.get("per_class_accuracy") if isinstance(eval_data, dict) else None
-        if not (isinstance(accs, list) and accs and all(a is None or isinstance(a, float) for a in accs)):
-            raise ValidationError("per_class_accuracy must be a non-empty list of numbers or nulls")
+        if not (isinstance(accs, list) and accs and all(map(_is_accuracy, accs))):
+            raise ValidationError("per_class_accuracy must be a non-empty list of [0, 1] values, NaN or null")
     with _input("confusion.csv: "):
         with open(os.path.join(args.run_dir, "confusion.csv")) as fh:
             rows = [[int(v) for v in line.split(",")] for line in fh]
@@ -175,7 +199,6 @@ def cmd_report(args: argparse.Namespace) -> None:
     feats, labels = E.extract_features(pair, dataset, "test")
     coords, _, _ = E.pca_project(feats, k=2)
     accs = [0.0 if a is None else a for a in accs]
-    out = args.out or args.run_dir
     _write(
         out,
         {

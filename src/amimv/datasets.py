@@ -127,6 +127,8 @@ def load_npz(path: str, name: str | None = None) -> ImageDataset:
         labels = arrays[f"{split}_labels"]
         if images.ndim not in (3, 4) or (images.ndim == 4 and images.shape[-1] != 3):
             raise FormatError(f"{split}_images: expected [N,H,W] or [N,H,W,3], got {images.shape}")
+        if min(images.shape[1:3]) < 1:
+            raise FormatError(f"{split}_images: H and W must be >= 1, got {images.shape}")
         if labels.ndim == 2 and labels.shape[1] == 1:
             labels = labels.reshape(-1)
         if labels.ndim != 1 or labels.shape[0] != images.shape[0]:
@@ -142,6 +144,12 @@ def load_npz(path: str, name: str | None = None) -> ImageDataset:
     all_labels = np.concatenate([lb for _, lb in splits.values()])
     if all_labels.min() < 0:
         raise ValidationError("negative label found")
+    # a class needs an image, so more classes than labelled images means a bad label (and a bincount
+    # over every label up to it would ask for as many counters)
+    if all_labels.max() >= all_labels.size:
+        raise ValidationError(
+            f"label {all_labels.max()} is not below the archive's {all_labels.size} labelled images"
+        )
     num_classes = int(all_labels.max()) + 1
     if num_classes < 2:
         raise ValidationError(f"need at least 2 classes for imbalance analysis, found {num_classes}")

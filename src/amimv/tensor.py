@@ -24,12 +24,14 @@ use. It takes and returns NCHW, but its im2col gathers a channels-last
 moves each kernel row's (kw, c) block as one run. At stride 1 the input
 gradient is the correlation of g, padded by k-1-p, with the flipped kernel
 (arXiv:1603.07285), so the forward and the input gradient (skipped for an
-input that does not require one) run one helper on x and on g. It gathers
-the matrix a chunk of whole images at a time, at most _IM2COL_BYTES (8 MiB)
-per chunk, and multiplies each chunk into its rows of one preallocated
-result (Caffe's column buffer, arXiv:1408.5093). The tape keeps a conv's
-input, not its im2col matrix (kh*kw times larger); the kernel gradient
-gathers the matrix again from the input, whole, for one GEMM over the batch.
+input that does not require one) run one helper on x and on g. Every
+im2col gather, the kernel gradient's too, takes a chunk of whole images at a
+time, at most _IM2COL_BYTES (8 MiB) per chunk (Caffe's column buffer,
+arXiv:1408.5093). The forward and the input gradient multiply each chunk
+into its rows of one preallocated result. The tape keeps a conv's input, not
+its im2col matrix (kh*kw times larger); the kernel gradient gathers the
+matrix again from the input in the forward's chunks and sums their GEMMs in
+chunk order, so at most one chunk's matrix is alive (arXiv:1604.06174).
 Group norm's input gradient is its closed form, two reductions per group.
 Every differentiable op is covered by finite-difference checks in the test
 suite.
@@ -46,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ContractError, DimensionError
 
 FLOAT_DTYPES = (np.float32, np.float64)
-# the most bytes of im2col matrix conv2d's forward and input gradient gather at once
+# the most bytes of im2col matrix conv2d gathers at once
 _IM2COL_BYTES = 8 << 20
 
 
@@ -419,21 +421,31 @@ def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, kh * kw * c)
 
 
+def _chunks(src: np.ndarray, kh: int, kw: int, ph: int, pw: int):
+    """Yield (i, j, rows) for consecutive chunks src[i:j] of as many whole images as fit in _IM2COL_BYTES
+    of im2col matrix (at least one), in image order; rows is one image's im2col row count. The caller
+    gathers ``_im2col(src[i:j], kh, kw, ph, pw)`` inside one expression, so the matrix is freed before
+    the next chunk's gather (a yielded matrix would stay bound to the loop variable during it)."""
+    n, h, w, c = src.shape
+    rows = (h + 2 * ph - kh + 1) * (w + 2 * pw - kw + 1)
+    step = max(1, _IM2COL_BYTES // (rows * kh * kw * c * src.itemsize))
+    for i in range(0, n, step):
+        yield i, min(i + step, n), rows
+
+
 def _correlate(src: np.ndarray, kh: int, kw: int, ph: int, pw: int, wmat: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation of channels-last src [N,H,W,C], zero-padded by ph rows and pw columns
     on each side, as ``_im2col(src, kh, kw, ph, pw) @ wmat`` for wmat [kh*kw*C, F]; returns [N,OH,OW,F].
-    The im2col matrix is gathered for as many whole images at a time as fit in _IM2COL_BYTES (at least
-    one), each piece multiplied into its rows of one preallocated result (Caffe's column buffer,
-    arXiv:1408.5093). A GEMM row's sums do not depend on the other rows, so the bytes are those of one
-    whole-batch GEMM; the one exception is a piece small enough (a few hundred rows by a few columns)
-    for OpenBLAS's small-matrix kernel, which no encoder conv splits into."""
-    n, h, w, c = src.shape
+    The im2col matrix is gathered in _chunks, each multiplied into its rows of one preallocated result
+    (Caffe's column buffer, arXiv:1408.5093). A GEMM row's sums do not depend on the other rows, so the
+    bytes are those of one whole-batch GEMM; the one exception is a piece small enough (a few hundred
+    rows by a few columns) for OpenBLAS's small-matrix kernel, which no encoder conv splits into. The
+    kernel gradient gathers in the same chunks but sums over rows, so its chunk GEMMs are added in chunk
+    order and its bytes are one whole-batch GEMM's only where the batch is one chunk."""
+    n, h, w, _ = src.shape
     ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    rows = ho * wo
-    step = max(1, _IM2COL_BYTES // (rows * kh * kw * c * src.itemsize))
-    out = np.empty((n * rows, wmat.shape[1]), dtype=np.result_type(src.dtype, wmat.dtype))
-    for i in range(0, n, step):
-        j = min(i + step, n)
+    out = np.empty((n * ho * wo, wmat.shape[1]), dtype=np.result_type(src.dtype, wmat.dtype))
+    for i, j, rows in _chunks(src, kh, kw, ph, pw):
         np.matmul(_im2col(src[i:j], kh, kw, ph, pw), wmat, out=out[i * rows : j * rows])
     return out.reshape(n, ho, wo, -1)
 
@@ -471,10 +483,15 @@ def conv2d(
         # g: (n,f,ho,wo)
         g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # one copy serves dk and dx
         # the tape keeps x, not its im2col matrix (kh*kw times the size of x): the kernel gradient
-        # gathers it again, in one piece (arXiv:1604.06174)
-        cols = _im2col(x_nhwc, kh, kw, padding, padding)
-        dk = (g_nhwc.reshape(-1, f).T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
-        del cols  # not alive beside dx's gather
+        # gathers it again in the forward's chunks and sums their products in chunk order (arXiv:1604.06174)
+        gmat = g_nhwc.reshape(-1, f)
+        for i, j, rows in _chunks(x_nhwc, kh, kw, padding, padding):
+            part = gmat[i * rows : j * rows].T @ _im2col(x_nhwc[i:j], kh, kw, padding, padding)
+            if i:
+                dk += part
+            else:
+                dk = part
+        dk = dk.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
         dx = None  # backward() drops the gradient of an input that does not require one
         if need_dx:
             # at stride 1, dx is the full correlation of g, padded by k-1-padding, with the flipped

@@ -157,6 +157,9 @@ class RunConfig:
             raise ValidationError(f"ema_placement must be before/after, got {self.ema_placement!r}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        outside = [e for e in self.snapshot_epochs if not 1 <= e <= self.epochs]
+        if outside:
+            raise ValidationError(f"snapshot_epochs must lie in [1, epochs={self.epochs}], got {outside}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mode == "amimv" and self.batch_size < 2:

@@ -9,6 +9,7 @@ import shutil
 import tempfile
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,34 @@ class TestAnalyze:
         assert err.startswith(f"error: {member}: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "pretrain"])
+    @pytest.mark.parametrize("hw", [(0, 8), (8, 0)], ids=["h0", "w0"])
+    def test_empty_image_axis_exit_2_one_line(self, tmp_path, capsys, command, hw):
+        ds = small_dataset()
+        for split in datasets.SPLIT_NAMES:
+            images, labels = ds.splits[split]
+            ds.splits[split] = (np.zeros((len(images),) + hw, dtype=np.uint8), labels)
+        path = tmp_path / "empty.npz"
+        datasets.save_npz(ds, path)
+        out = tmp_path / "out"
+        args = {"analyze": [str(path)], "pretrain": ["--dataset", str(path), "--epochs", "1"]}[command]
+        assert main([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train_images: H and W must be >= 1") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_huge_label_exit_2_one_line(self, tmp_path, capsys):
+        # a bincount up to this label would ask for 8 TiB
+        ds = small_dataset()
+        ds.splits["train"][1][0] = 2**40
+        path = tmp_path / "huge.npz"
+        datasets.save_npz(ds, path)
+        out = tmp_path / "out"
+        assert main(["analyze", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: label {2**40} ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPretrain:
     def test_minimal_run_artifacts(self, tmp_path):
@@ -163,6 +192,8 @@ class TestPretrain:
             ["--warmup_start", "nan"],
             ["--seed", "9223372036854775808"],
             ["--view_size", "-4"],
+            ["--snapshot_epochs", "0"],
+            ["--snapshot_epochs", "1:2"],
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, flags):
@@ -378,7 +409,11 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "eval_data",
-        [{}, [1], {"per_class_accuracy": ["x"]}, {"per_class_accuracy": 5}, {"per_class_accuracy": [True]}],
+        [
+            {}, [1], {"per_class_accuracy": ["x"]}, {"per_class_accuracy": 5}, {"per_class_accuracy": [True]},
+            {"per_class_accuracy": [-0.5, 0.5]}, {"per_class_accuracy": [0.5, 3.0]},
+            {"per_class_accuracy": [0.5, float("inf")]},
+        ],
     )
     def test_bad_eval_json_exit_2(self, trained_run, tmp_path, capsys, eval_data):
         # a complete run dir in which only eval.json is at fault
@@ -393,6 +428,18 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "per_class_accuracy" in err
         assert not out.exists() and not list(run.glob("*.svg"))
+
+
+    @pytest.mark.parametrize("accs", [[float("nan"), 1.0], [None, 0.0]], ids=["nan", "null"])
+    def test_bars_stay_on_the_chart(self, trained_run, tmp_path, accs):
+        run = tmp_path / "run"
+        _report_run(run, trained_run, json.dumps({"per_class_accuracy": accs}), "1,0\n0,1\n")
+        assert main(["report", str(run), SMALL_SYNTH]) == 0
+        ns = "{http://www.w3.org/2000/svg}"
+        root = ET.fromstring((run / "per_class.svg").read_text())
+        bars = [r for r in root.iter(f"{ns}rect") if r.get("fill", "").startswith("#")]
+        assert len(bars) == 2
+        assert all(float(r.get("height")) >= 0 and float(r.get("y")) >= 0 for r in bars)
 
 
 class TestSeeds:
@@ -478,6 +525,27 @@ class TestBoundary:
         }[command]
         assert main([command, *args, "--out", str(out)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+        assert out.read_text() == "keep" and os.listdir(tmp_path) == ["taken"]
+
+    @pytest.mark.parametrize("command", ["analyze", "probe", "report"])
+    def test_out_checked_before_compute(self, charts_dir, tmp_path, capsys, monkeypatch, command):
+        from amimv import cli
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed before --out was checked")
+
+        for name in ("imbalance_metrics", "label_histogram"):
+            monkeypatch.setattr(cli, name, no_compute)
+        for name in ("extract_features", "linear_probe", "pca_project"):
+            monkeypatch.setattr(cli.E, name, no_compute)
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        # probe at its default --epochs
+        args = [SMALL_SYNTH] if command == "analyze" else [str(charts_dir), SMALL_SYNTH]
+        for target in (out, out / "sub"):
+            assert main([command, *args, "--out", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --out {target}: ") and err.count("\n") == 1
         assert out.read_text() == "keep" and os.listdir(tmp_path) == ["taken"]
 
     def test_report_channel_mismatch_exit_2(self, tmp_path, capsys):

@@ -119,6 +119,29 @@ class TestNpzRoundTrip:
         with pytest.raises(ValidationError, match="2 classes"):
             D.load_npz(path)
 
+    @pytest.mark.parametrize("shape", [(12, 0, 8), (12, 8, 0), (12, 0, 0, 3)])
+    def test_empty_image_axis_rejected(self, tmp_path, shape):
+        ds = small_dataset(rgb=len(shape) == 4)
+        for split in D.SPLIT_NAMES:
+            images, labels = ds.splits[split]
+            ds.splits[split] = (np.zeros((len(images),) + shape[1:], dtype=np.uint8), labels)
+        path = tmp_path / "empty.npz"
+        D.save_npz(ds, path)
+        with pytest.raises(FormatError, match=r"^train_images: H and W must be >= 1"):
+            D.load_npz(path)
+
+    def test_label_beyond_the_image_count_rejected(self, tmp_path):
+        # 22 labelled images; label 21 would mean 22 classes, the most the archive can hold
+        ds = small_dataset()
+        for label, ok in ((21, True), (22, False), (2**40, False)):
+            ds.splits["val"][1][0] = label
+            D.save_npz(ds, tmp_path / "labels.npz")
+            if ok:
+                assert D.load_npz(tmp_path / "labels.npz").num_classes == 22
+            else:
+                with pytest.raises(ValidationError, match=f"^label {label} is not below .* 22 labelled"):
+                    D.load_npz(tmp_path / "labels.npz")
+
     def test_labels_flattened_from_column(self, tmp_path):
         ds = small_dataset()
         path = tmp_path / "col.npz"

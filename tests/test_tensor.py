@@ -225,6 +225,13 @@ class TestGradcheck:
             lambda a, b: T.sum_(T.mul(c := T.conv2d(a, b, 1, pad), c)), [x, k]
         )
 
+    def test_conv2d_kernel_gradient_in_chunks(self, monkeypatch):
+        """At a budget of one image's im2col matrix the kernel gradient sums three chunk GEMMs."""
+        x, k = _shapes([(3, 2, 5, 5), (3, 2, 3, 3)])
+        monkeypatch.setattr(T, "_IM2COL_BYTES", 5 * 5 * 3 * 3 * 2 * 8)
+        assert _chunked_dk(x, np.ones((3, 3, 5, 5)), 3, 3, 1)[1] == 3
+        check_gradients(lambda a, b: T.sum_(T.mul(c := T.conv2d(a, b, 1, 1), c)), [x, k])
+
     def test_add_sub_mul_div(self):
         a, b = _shapes([(3, 4), (3, 4)])
         b = np.abs(b) + 0.5
@@ -596,6 +603,35 @@ def _keep_cols_conv2d(x, kernel, stride, padding, *, bias):
     return T._make(out, (x, kernel, bias), bwd)
 
 
+def _chunked_dk(x, g, kh, kw, pad):
+    """The kernel gradient as conv2d sums it, and its chunk count: one GEMM per chunk of as many whole
+    images as fit in T._IM2COL_BYTES of im2col (at least one), added in image order. Where the batch is
+    one chunk this is the whole-batch GEMM of _keep_cols_conv2d."""
+    x_nhwc = x.transpose(0, 2, 3, 1)
+    n, _, _, c = x_nhwc.shape
+    f, rows = g.shape[1], g.shape[2] * g.shape[3]
+    step = max(1, T._IM2COL_BYTES // (rows * kh * kw * c * x.itemsize))
+    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, f)
+    parts = [
+        gmat[i * rows : (i + step) * rows].T @ T._im2col(x_nhwc[i : i + step], kh, kw, pad, pad)
+        for i in range(0, n, step)
+    ]
+    dk = parts[0]
+    for part in parts[1:]:
+        dk = dk + part
+    return dk.reshape(f, kh, kw, c).transpose(0, 3, 1, 2), len(parts)
+
+
+def _check_dk(got, x, g, k_shape, pad, whole):
+    """dk byte-equal to the chunk-ordered sum, and to the whole-batch GEMM `whole` where the batch is one
+    chunk; within _DX_RTOL of `whole` wherever it splits."""
+    chunked, pieces = _chunked_dk(x, g, k_shape[2], k_shape[3], pad)
+    np.testing.assert_array_equal(got, chunked)
+    if pieces == 1:
+        np.testing.assert_array_equal(got, whole)
+    assert np.abs(got - whole).max() <= _DX_RTOL[got.dtype.type] * np.abs(whole).max()
+
+
 def _conv2d_results(x, k, b, g, stride, pad, conv=T.conv2d):
     """Output and the x, kernel, bias gradients of conv2d for upstream gradient g."""
     leaves = [T.Tensor(a, requires_grad=True) for a in (x, k, b)]
@@ -616,8 +652,9 @@ def _conv2d_inputs(rng, dtype, x_shape, k_shape, stride, pad):
 
 
 def _check_conv2d_against_reference(rng, dtype, x_shape, k_shape, stride, pad):
-    """db byte-equal to the reference; output, dx and dk within _DX_RTOL of their max magnitude. All four
-    byte-equal to the keep-cols conv2d, so gathering im2col again in backward changes no bit."""
+    """db byte-equal to the reference; output, dx and dk within _DX_RTOL of their max magnitude. Output,
+    dx and db byte-equal to the keep-cols conv2d, so gathering im2col again in backward changes no bit
+    there; dk as _check_dk has it against the keep-cols whole-batch GEMM."""
     x, k, b, g = _conv2d_inputs(rng, dtype, x_shape, k_shape, stride, pad)
     out, dx, dk, db = _reference_conv2d(x, k, b, stride, pad, g)
     results = _conv2d_results(x, k, b, g, stride, pad)
@@ -627,8 +664,12 @@ def _check_conv2d_against_reference(rng, dtype, x_shape, k_shape, stride, pad):
             np.testing.assert_array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= _DX_RTOL[dtype] * np.abs(want).max()
-    for got, kept in zip(results, _conv2d_results(x, k, b, g, stride, pad, conv=_keep_cols_conv2d)):
-        np.testing.assert_array_equal(got, kept)
+    kept_all = _conv2d_results(x, k, b, g, stride, pad, conv=_keep_cols_conv2d)
+    for i, (got, kept) in enumerate(zip(results, kept_all)):
+        if i == 2:
+            _check_dk(got, x, g, k_shape, pad, kept)
+        else:
+            np.testing.assert_array_equal(got, kept)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -752,10 +793,12 @@ def _gathers(calls, n):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS)
 def test_conv2d_chunked_equals_single_chunk(monkeypatch, dtype, x_shape, k_shape, stride, pad):
-    """Output, dx, dk and db are byte-equal whether the im2col matrices are gathered whole or in chunks.
+    """Output, dx and db are byte-equal whether the im2col matrices are gathered whole or in chunks; dk
+    is the chunk-ordered sum of _check_dk, within _DX_RTOL of the single-chunk one.
 
     Under one budget the forward's gather splits, under the other the input gradient's, each into at
-    least 3 chunks with a shorter last one (for n <= 4 there are n chunks of one image).
+    least 3 chunks with a shorter last one (for n <= 4 there are n chunks of one image). The kernel
+    gradient gathers in the forward's chunks.
 
     One exception: the dx GEMM of the (4, 3, 9, 9) case with a 3x3 kernel has 3 columns and 45-term
     sums, and OpenBLAS's small-matrix path rounds an 81-row product of that shape in another order than
@@ -777,14 +820,17 @@ def test_conv2d_chunked_equals_single_chunk(monkeypatch, dtype, x_shape, k_shape
     for which, image_bytes in ((0, ho * wo * kh * kw * c * itemsize), (2, h * w * kh * kw * f * itemsize)):
         monkeypatch.setattr(T, "_IM2COL_BYTES", step * image_bytes)
         calls.clear()
-        for i, (got, single) in enumerate(zip(_conv2d_results(*inputs, stride, pad), want)):
+        results = _conv2d_results(*inputs, stride, pad)
+        gathers = _gathers(calls, n)  # forward, kernel gradient, input gradient
+        assert len(gathers) == 3 and gathers[1] == gathers[0] and gathers[which] == chunks
+        for i, (got, single) in enumerate(zip(results, want)):
             assert got.dtype == dtype
             if i == 1 and k_shape == (5, 3, 3, 3):
                 assert np.abs(got - single).max() <= _DX_RTOL[dtype] * np.abs(single).max()
+            elif i == 2:
+                _check_dk(got, inputs[0], inputs[3], k_shape, pad, single)
             else:
                 np.testing.assert_array_equal(got, single)
-        gathers = _gathers(calls, n)  # forward, kernel gradient, input gradient
-        assert len(gathers) == 3 and gathers[1] == [n] and gathers[which] == chunks
 
 
 @pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS)
@@ -807,6 +853,33 @@ def test_conv2d_forward_memory_is_bounded(x_shape, k_shape, stride, pad):
     image_cols = y.shape[2] * y.shape[3] * kh * kw * c * x.itemsize
     padded = n * (h + 2 * pad) * (w + 2 * pad) * c * x.itemsize
     assert peak - y.data.nbytes <= T._IM2COL_BYTES + image_cols + padded
+
+
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS)
+def test_conv2d_backward_memory_is_bounded(x_shape, k_shape, stride, pad):
+    """The backward holds at most one chunk of im2col (the budget, or one image's matrix where that is
+    larger), g's channels-last copy, dx, a padded input and three kernel-sized arrays (dk, the last
+    chunk's product and the flipped kernel): never the whole batch's im2col matrix."""
+    x, k, b, g = _conv2d_inputs(np.random.default_rng(20), np.float32, x_shape, k_shape, stride, pad)
+    leaves = [T.Tensor(a, requires_grad=True) for a in (x, k, b)]
+    with T.Tape() as tape:
+        T.conv2d(leaves[0], leaves[1], stride, pad, bias=leaves[2])
+    backward_fn = tape.records[-1].backward_fn
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [a.shape for a in grads] == [x_shape, k_shape, k_shape[:1]]
+    n, c, h, w = x_shape
+    f, _, kh, kw = k_shape
+    ho, wo = g.shape[2:]
+    image_cols = max(ho * wo * c, h * w * f) * kh * kw * x.itemsize  # x's and g's im2col rows per image
+    padded = n * max((h + 2 * pad) * (w + 2 * pad) * c, (h + kh - 1) * (w + kw - 1) * f) * x.itemsize  # x, g
+    assert peak <= T._IM2COL_BYTES + image_cols + g.nbytes + x.nbytes + padded + 3 * k.nbytes
 
 
 def _reachable_arrays(roots):
