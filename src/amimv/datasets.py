@@ -142,6 +142,8 @@ def load_npz(path: str, name: str | None = None) -> ImageDataset:
         raise FormatError(f"splits disagree on image geometry: {sorted(shapes)}")
 
     all_labels = np.concatenate([lb for _, lb in splits.values()])
+    if all_labels.size == 0:
+        raise ValidationError(f"{path}: the archive holds no labelled images")
     if all_labels.min() < 0:
         raise ValidationError("negative label found")
     # a class needs an image, so more classes than labelled images means a bad label (and a bincount

@@ -224,11 +224,10 @@ def save_checkpoint(pair: EncoderPair, directory: str) -> None:
     """Write manifest.json plus a little-endian float32 parameter blob."""
     os.makedirs(directory, exist_ok=True)
     names = [name for name, _ in param_specs(pair.config)]
-    blob = b"".join(
-        np.ascontiguousarray(params[n].data.astype("<f4")).tobytes()
-        for params in (pair.q_params, pair.k_params)
-        for n in names
-    )
+    # one copy of the parameters, hashed and written through the buffer protocol
+    blob = np.concatenate(
+        [params[n].data.ravel() for params in (pair.q_params, pair.k_params) for n in names]
+    ).astype("<f4", copy=False)
     manifest = {
         **asdict(pair.config),
         "momentum": pair.momentum,

@@ -13,9 +13,13 @@ record that produced it on the same tape, the leaf tensor, or None for an
 input that needs no gradient. It holds no output or input tensor, and the
 closures capture shapes, dtypes and the arrays their gradients read, so an
 activation no gradient reads (a conv, group-norm or add output) is freed
-once the next layer has run (activation lifetimes, arXiv:1604.06174). An op
-output from another tape is a leaf on this one. Gradients are keyed by
-record or leaf and replayed in reverse recording order.
+once the next layer has run (activation lifetimes, arXiv:1604.06174); relu
+keeps its mask packed at one bit per element. An op output from another
+tape is a leaf on this one. Gradients are keyed by record or leaf and
+replayed in reverse recording order. The tape is released as it is
+replayed: backward takes each record's closure off it before running it, so
+the arrays a layer saved are freed once its gradient is computed, not when
+the step ends, and a replayed tape cannot be replayed again.
 
 All three conv2d products are im2col GEMMs, with one lowering. conv2d runs at
 stride 1 with zero padding 0 <= p < kernel size, the only convs the encoders
@@ -160,19 +164,27 @@ def _make(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable)
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate `.grad` on every requires_grad tensor reachable from `loss`.
 
-    Replays the tape in reverse recording order exactly once. Gradients of
-    tensors behind a `detach`/`no_grad` barrier stay absent.
+    Replays the tape in reverse recording order and releases it as it goes:
+    each record's backward closure, with the arrays it saved, is taken off the
+    record before it runs (or dropped unrun for a record off the gradient
+    path), so a second call on the same tape raises ContractError. Gradients
+    of tensors behind a `detach`/`no_grad` barrier stay absent.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    if tape.records and tape.records[-1].backward_fn is None:
+        raise ContractError("backward: this tape was already replayed; record the step on a new tape")
     # keyed by record (an op output on this tape) or by leaf tensor
     grads: dict = {} if loss.record is None else {loss.record: np.ones((), dtype=loss.dtype)}
     for rec in reversed(tape.records):
+        # taken off the record, the closure and the arrays it saved are freed once it has run,
+        # and a record off the gradient path frees them without running
+        fn, rec.backward_fn = rec.backward_fn, None
         # consumers sit later on the tape, so by now grads[rec] is complete
         g_out = grads.pop(rec, None)
         if g_out is None:
             continue
-        for src, g in zip(rec.inputs, rec.backward_fn(g_out)):
+        for src, g in zip(rec.inputs, fn(g_out)):
             if g is None or src is None:
                 continue
             grads[src] = grads[src] + g if src in grads else g
@@ -244,7 +256,11 @@ def neg(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return _make(a.data * mask, (a,), lambda g: (g * mask,))
+    # the tape keeps the mask at one bit per element
+    bits, shape, size = np.packbits(mask), mask.shape, mask.size
+    return _make(
+        a.data * mask, (a,), lambda g: (g * np.unpackbits(bits, count=size).reshape(shape).view(bool),)
+    )
 
 
 def exp(a: Tensor) -> Tensor:

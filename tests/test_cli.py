@@ -110,6 +110,19 @@ class TestAnalyze:
         assert err.startswith("error: train_images: H and W must be >= 1") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_archive_without_images_exit_2_one_line(self, tmp_path, capsys):
+        ds = small_dataset()
+        for split in datasets.SPLIT_NAMES:
+            images, labels = ds.splits[split]
+            ds.splits[split] = (images[:0], labels[:0])
+        path = tmp_path / "none.npz"
+        datasets.save_npz(ds, path)
+        out = tmp_path / "out"
+        assert main(["analyze", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: the archive holds no labelled images\n"
+        assert not out.exists()
+
     def test_huge_label_exit_2_one_line(self, tmp_path, capsys):
         # a bincount up to this label would ask for 8 TiB
         ds = small_dataset()

@@ -191,6 +191,25 @@ class TestBackward:
         np.testing.assert_array_equal(u.grad, [6.0])
         assert w.grad is None
 
+    def test_second_backward_on_a_replayed_tape_rejected(self):
+        x = t([1.0, 2.0], requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.sum_(T.mul(x, x))
+        T.backward(loss, tape)
+        with pytest.raises(ContractError, match="already replayed") as info:
+            T.backward(loss, tape)
+        assert "\n" not in str(info.value)
+        np.testing.assert_allclose(x.grad, [2.0, 4.0])
+
+    def test_relu_keeps_its_mask_as_bits(self):
+        x = RNG.normal(size=(3, 5, 7))
+        with T.Tape() as tape:
+            T.relu(t(x, requires_grad=True))
+        backward_fn = tape.records[-1].backward_fn
+        assert sum(a.nbytes for a in _reachable_arrays([backward_fn])) <= -(-x.size // 8)
+        g = RNG.normal(size=x.shape)
+        np.testing.assert_array_equal(backward_fn(g)[0], g * (x > 0))
+
     def test_reused_leaf_accumulates(self):
         x = t([2.0], requires_grad=True)
         with T.Tape() as tape:
@@ -714,6 +733,7 @@ def test_conv2d_skips_gradient_of_constant_input():
         leaves = [t(x, requires_grad=x_grad), t(k, requires_grad=True), t(b, requires_grad=True)]
         with T.Tape() as tape:
             loss = T.sum_(T.mul(T.conv2d(leaves[0], leaves[1], 1, 1, bias=leaves[2]), t(g)))
+        conv_dx = tape.records[0].backward_fn(g)[0]  # before backward releases the record
         T.backward(loss, tape)
         grads.append([leaf.grad for leaf in leaves])
     (dx, dk, db), (no_dx, dk_const, db_const) = grads
@@ -721,7 +741,7 @@ def test_conv2d_skips_gradient_of_constant_input():
     np.testing.assert_array_equal(dk, dk_const)
     np.testing.assert_array_equal(db, db_const)
     # on the last tape (x without grad) the conv record returns no input gradient at all
-    assert tape.records[0].backward_fn(g)[0] is None
+    assert conv_dx is None
 
 
 @pytest.mark.parametrize("x_shape,k_shape,stride,pad", [_ENCODER_CONVS[i] for i in (0, 6, 9, 16, 18)])
@@ -908,6 +928,17 @@ def _reachable_arrays(roots):
     return arrays
 
 
+def _encoder_pass(arch, size):
+    """A recorded query-encoder pass on a batch of 4 and a scalar loss of its projections."""
+    config = M.EncoderConfig(arch=arch, input_channels=1, input_size=size)
+    params = M.init_pair(config, seed=0).q_params
+    batch = T.Tensor(np.random.default_rng(18).normal(size=(4, 1, size, size)).astype(np.float32))
+    with T.Tape() as tape:
+        _, z = M.encode(params, batch, config)
+        loss = T.sum_(T.mul(z, z))
+    return params, tape, loss
+
+
 @pytest.mark.parametrize("arch,size", [("tiny", 28), ("small_residual", 32)])
 def test_tape_holds_no_dead_activations(monkeypatch, arch, size):
     """After a recorded encoder pass, no array the tape reaches is a conv, group-norm or add output:
@@ -920,12 +951,49 @@ def test_tape_holds_no_dead_activations(monkeypatch, arch, size):
             return out
 
         monkeypatch.setattr(T, name, spy)
-    config = M.EncoderConfig(arch=arch, input_channels=1, input_size=size)
-    pair = M.init_pair(config, seed=0)
-    batch = T.Tensor(np.random.default_rng(18).normal(size=(4, 1, size, size)).astype(np.float32))
-    with T.Tape() as tape:
-        M.encode(pair.q_params, batch, config)
+    params, tape, _ = _encoder_pass(arch, size)
     assert len(outputs) == (2 + 2 if arch == "tiny" else 12 + 9 + 4)  # convs, group norms, adds
     reachable = _reachable_arrays(tape.records)
-    assert any(a is pair.q_params["proj3.w"].data for a in reachable)  # the walk does reach arrays
+    assert any(a is params["proj3.w"].data for a in reachable)  # the walk does reach arrays
     assert not [a.shape for a in reachable for dead in outputs if np.may_share_memory(a, dead)]
+
+
+def _param_array_ids(params):
+    """ids of every parameter's data and gradient arrays and of the arrays behind them."""
+    return {id(a) for a in _reachable_arrays([(p.data, p.grad) for p in params.values()])}
+
+
+@pytest.mark.parametrize("arch,size", [("tiny", 28), ("small_residual", 32)])
+def test_backward_releases_the_tape(arch, size):
+    """After backward, the tape reaches no array but the parameters' data and gradients: every array a
+    record saved for its gradient has been let go."""
+    params, tape, loss = _encoder_pass(arch, size)
+    T.backward(loss, tape)
+    reachable = _reachable_arrays(tape.records)
+    assert any(a is params["proj3.w"].data for a in reachable)  # the walk does reach arrays
+    allowed = _param_array_ids(params)
+    assert not [a.shape for a in reachable if id(a) not in allowed]
+
+
+@pytest.mark.parametrize("arch,size", [("tiny", 28), ("small_residual", 32)])
+def test_backward_frees_each_record_as_it_replays(arch, size):
+    """While record k replays, no record later on the tape (through its closure or its leaf inputs)
+    reaches an array other than a parameter's: the later layers' saved arrays are already let go."""
+    params, tape, loss = _encoder_pass(arch, size)
+    allowed = _param_array_ids(params)
+    replayed = []
+
+    def spy(k, backward_fn):
+        def replay(g):
+            later = [(r.backward_fn, [s for s in r.inputs if isinstance(s, T.Tensor)])
+                     for r in tape.records[k + 1 :]]
+            replayed.append((k, [a.shape for a in _reachable_arrays(later) if id(a) not in allowed]))
+            return backward_fn(g)
+
+        return replay
+
+    for k, rec in enumerate(tape.records):
+        rec.backward_fn = spy(k, rec.backward_fn)
+    T.backward(loss, tape)
+    assert [k for k, _ in replayed] == list(range(len(tape.records)))[::-1]
+    assert not [(k, held) for k, held in replayed if held]
