@@ -15,7 +15,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .datasets import ImageDataset
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .tensor import Tensor
 from .trainer import OptimState, adamw_step
 from .views import normalize_view
@@ -87,7 +87,8 @@ def extract_features(
     in ceil(n / batch_size) chunks of near-equal size. No chunk is left with
     a few rows (unless the split is that small), so every chunk's dense
     layers run the same BLAS kernel and an image's features do not depend
-    on where it falls in the split."""
+    on where it falls in the split. Non-finite features (weights that
+    overflow the encoder) raise NumericError."""
     if split not in dataset.splits:
         raise ValidationError(f"unknown split {split!r}; have {sorted(dataset.splits)}")
     images, labels = dataset.splits[split]
@@ -99,10 +100,14 @@ def extract_features(
     chunks = []
     for start, stop in zip(bounds[:-1], bounds[1:]):
         views = normalize_view(images[start:stop], dataset.channel_stats, pair.config.input_size)
-        with T.no_grad():
+        # an overflow shows as non-finite features, checked below, not as warning lines on stderr
+        with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
             feats, _ = M.encode(pair.q_params, views, pair.config)
         chunks.append(feats.data)
-    return np.concatenate(chunks), labels.copy()
+    features = np.concatenate(chunks)
+    if not np.isfinite(features).all():
+        raise NumericError(f"the encoder's features on split {split!r} are not finite")
+    return features, labels.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ class EncoderConfig:
     def __post_init__(self):
         if self.arch not in INPUT_DIVISOR:
             raise ValidationError(f"unknown arch {self.arch!r}")
+        for name in ("input_channels", "input_size", "projector_hidden", "projector_out"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         divisor = INPUT_DIVISOR[self.arch]
         if self.input_size % divisor:
             raise ValidationError(
@@ -155,8 +158,8 @@ def init_pair(config: EncoderConfig, seed: int, momentum: float = 0.99) -> Encod
 # forward pass
 
 
-def _group_norm(x: Tensor, p: dict, prefix: str) -> Tensor:
-    return T.group_norm(x, p[f"{prefix}.gamma"], p[f"{prefix}.beta"], GN_GROUPS, GN_EPS)
+def _group_norm(x: Tensor, p: dict, prefix: str, relu: bool = False) -> Tensor:
+    return T.group_norm(x, p[f"{prefix}.gamma"], p[f"{prefix}.beta"], GN_GROUPS, GN_EPS, relu=relu)
 
 
 def _conv_block(x: Tensor, p: dict, prefix: str) -> Tensor:
@@ -165,16 +168,16 @@ def _conv_block(x: Tensor, p: dict, prefix: str) -> Tensor:
 
 def _encode_tiny(p: dict, x: Tensor) -> Tensor:
     h = _conv_block(x, p, "conv1")
-    h = T.avg_pool2d(T.relu(_group_norm(h, p, "gn1")), 2)
+    h = T.avg_pool2d(_group_norm(h, p, "gn1", relu=True), 2)
     h = _conv_block(h, p, "conv2")
-    h = T.avg_pool2d(T.relu(_group_norm(h, p, "gn2")), 2)
+    h = T.avg_pool2d(_group_norm(h, p, "gn2", relu=True), 2)
     flat = T.reshape(h, (h.shape[0], h.shape[1] * h.shape[2] * h.shape[3]))
     return T.linear(flat, p["feat.w"], p["feat.b"])
 
 
 def _residual_block(p: dict, x: Tensor, prefix: str) -> Tensor:
     h = _conv_block(x, p, f"{prefix}.conv1")
-    h = T.relu(_group_norm(h, p, f"{prefix}.gn1"))
+    h = _group_norm(h, p, f"{prefix}.gn1", relu=True)
     h = _conv_block(h, p, f"{prefix}.conv2")
     h = _group_norm(h, p, f"{prefix}.gn2")
     skip = x
@@ -185,7 +188,7 @@ def _residual_block(p: dict, x: Tensor, prefix: str) -> Tensor:
 
 def _encode_small_residual(p: dict, x: Tensor) -> Tensor:
     h = _conv_block(x, p, "stem")
-    h = T.relu(_group_norm(h, p, "stem_gn"))
+    h = _group_norm(h, p, "stem_gn", relu=True)
     for i in range(4):
         h = _residual_block(p, h, f"block{i}")
         h = T.avg_pool2d(h, 2)
@@ -284,6 +287,9 @@ def load_checkpoint(directory: str) -> EncoderPair:
     for target, grad in ((q, True), (k, False)):
         for e, size in zip(entries, sizes):
             arr = flat[offset : offset + size].reshape(e["shape"]).copy()
+            if not np.isfinite(arr).all():
+                encoder = "query" if grad else "key"
+                raise ValidationError(f"checkpoint {encoder} parameter {e['name']!r} is not finite")
             target[e["name"]] = Tensor(arr, requires_grad=grad)
             offset += size
     return EncoderPair(

@@ -3,9 +3,9 @@
 The op set is the minimal closed family needed by the encoder, projection
 head, contrastive losses, and optimizers: elementwise arithmetic, matmul,
 linear (``x @ w + b``), 2D cross-correlation with an optional bias, group
-normalization, 2x2 average pooling, reductions, concat, gather, L2
-normalization, and a max-shifted logsumexp; each encoder layer is one tape
-record.
+normalization with an optional fused ReLU, 2x2 average pooling,
+reductions, concat, gather, L2 normalization, and a max-shifted logsumexp;
+each encoder layer is one tape record.
 
 The tape keeps only what the backward pass reads. A tracked output points
 to its record; a record holds its backward closure and, per input, the
@@ -37,6 +37,10 @@ its im2col matrix (kh*kw times larger); the kernel gradient gathers the
 matrix again from the input in the forward's chunks and sums their GEMMs in
 chunk order, so at most one chunk's matrix is alive (arXiv:1604.06174).
 Group norm's input gradient is its closed form, two reductions per group.
+``group_norm(..., relu=True)`` runs a ReLU in place on the norm's output,
+with the bytes of relu(group_norm(...)). A conv keeps x, except a recorded
+GN-ReLU output: it keeps that output's ``rebuild`` function, over arrays the
+norm's record keeps anyway, and rebuilds x in backward (arXiv:1712.02616).
 Every differentiable op is covered by finite-difference checks in the test
 suite.
 """
@@ -63,7 +67,7 @@ class Tensor:
     mutated, and only during a single backward pass.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "record")
+    __slots__ = ("data", "requires_grad", "grad", "record", "rebuild")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -73,6 +77,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.record: _Record | None = None  # the tape record that produced this tensor, if any
+        # recomputes `data` from arrays its record keeps anyway (a recorded GN-ReLU output), if set
+        self.rebuild: Callable[[], np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -393,8 +399,16 @@ def logsumexp(a: Tensor) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float) -> Tensor:
-    """Per-group z-score of x [N,C,H,W], then per-channel scale and shift (arXiv:1803.08494)."""
+def group_norm(
+    x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float, relu: bool = False
+) -> Tensor:
+    """Per-group z-score of x [N,C,H,W], then per-channel scale and shift (arXiv:1803.08494).
+
+    With ``relu``, a ReLU runs in place on the output, and forward and backward give the bytes of
+    ``relu(group_norm(...))`` in one record. The mask is kept at one bit per element, as relu keeps it.
+    A recorded relu output carries a ``rebuild`` function that recomputes it from the arrays this record
+    keeps anyway (normed, gamma, beta), so a conv2d reading it keeps that function instead of the
+    activation (arXiv:1604.06174; in-place activated norm layers, arXiv:1712.02616)."""
     n, c, h, w = x.shape
     if c % groups:
         raise DimensionError(f"group_norm: {c} channels do not split into {groups} groups")
@@ -403,14 +417,22 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float) 
     normed = xg - xg.mean(axis=2, keepdims=True)
     sd = np.sqrt((normed * normed).mean(axis=2, keepdims=True) + float(eps))
     normed = np.divide(normed, sd, out=normed).reshape(x.shape)
-    gamma4 = gamma.data.reshape(1, c, 1, 1)
+    gamma4, beta4 = gamma.data.reshape(1, c, 1, 1), beta.data.reshape(1, c, 1, 1)
     out = normed * gamma4
-    out += beta.data.reshape(1, c, 1, 1)
+    out += beta4
+    bits = None
+    if relu:
+        mask = out > 0
+        out *= mask  # relu's own product, in place
+        bits = np.packbits(mask)
+        del mask
 
     group_shape = xg.shape
     del xg  # a view of x: the tape must not keep x alive
 
     def bwd(g):
+        if bits is not None:
+            g = g * np.unpackbits(bits, count=n * c * h * w).reshape(n, c, h, w).view(bool)
         # per group, dx = (gn - mean(gn) - x^ * mean(gn * x^)) / sd for gn = g * gamma and x^ = normed
         gn = (g * gamma4).reshape(group_shape)
         xhat = normed.reshape(group_shape)
@@ -419,7 +441,18 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float) 
         dx /= sd
         return dx.reshape(n, c, h, w), (g * normed).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
-    return _make(out, (x, gamma, beta), bwd)
+    result = _make(out, (x, gamma, beta), bwd)
+    if relu and result.record is not None:
+
+        def rebuild():
+            # the forward's own ops, so the bytes are the output's
+            y = normed * gamma4
+            y += beta4
+            y *= y > 0
+            return y
+
+        result.rebuild = rebuild
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +503,11 @@ def conv2d(
     x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *, bias: Tensor | None = None
 ) -> Tensor:
     """2D cross-correlation at stride 1 with zero padding 0 <= padding < min(kh, kw) (no kernel flip) and
-    an optional bias [F]. ``stride`` must be 1; it stays in the signature for callers that spell it out."""
+    an optional bias [F]. ``stride`` must be 1; it stays in the signature for callers that spell it out.
+
+    The record keeps x for the kernel gradient. Where x carries a ``rebuild`` function (a recorded
+    ``group_norm(..., relu=True)`` output), it keeps that function instead: backward rebuilds x for the
+    kernel gradient and drops it before the input gradient's gather, so x is never kept on the tape."""
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4D input and kernel, got {x.shape} and {kernel.shape}")
     _, c, h, w = x.shape
@@ -485,12 +522,15 @@ def conv2d(
         raise DimensionError(
             f"kernel {kernel.shape} larger than padded input {x.shape} (padding={padding})"
         )
-    # _im2col works channels-last, the layout a view tensor's memory already has
-    x_nhwc = x.data.transpose(0, 2, 3, 1)
     kdata = kernel.data
-    need_dx, has_bias = x.requires_grad, bias is not None
+    need_dx, has_bias, x_dtype = x.requires_grad, bias is not None, x.dtype
+    rebuild = x.rebuild
+    x_kept = x.data if rebuild is None else None
 
-    out = _correlate(x_nhwc, kh, kw, padding, padding, kdata.transpose(0, 2, 3, 1).reshape(f, -1).T)
+    # _im2col works channels-last, the layout a view tensor's memory already has
+    out = _correlate(
+        x.data.transpose(0, 2, 3, 1), kh, kw, padding, padding, kdata.transpose(0, 2, 3, 1).reshape(f, -1).T
+    )
     if has_bias:
         out += bias.data
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
@@ -500,6 +540,7 @@ def conv2d(
         g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # one copy serves dk and dx
         # the tape keeps x, not its im2col matrix (kh*kw times the size of x): the kernel gradient
         # gathers it again in the forward's chunks and sums their products in chunk order (arXiv:1604.06174)
+        x_nhwc = (x_kept if rebuild is None else rebuild()).transpose(0, 2, 3, 1)
         gmat = g_nhwc.reshape(-1, f)
         for i, j, rows in _chunks(x_nhwc, kh, kw, padding, padding):
             part = gmat[i * rows : j * rows].T @ _im2col(x_nhwc[i:j], kh, kw, padding, padding)
@@ -507,6 +548,7 @@ def conv2d(
                 dk += part
             else:
                 dk = part
+        del x_nhwc  # a rebuilt x is freed before the input gradient's gather
         dk = dk.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
         dx = None  # backward() drops the gradient of an input that does not require one
         if need_dx:
@@ -514,7 +556,7 @@ def conv2d(
             # kernel (arXiv:1603.07285): the forward's lowering run on g
             kflip = kdata[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
             dx = _correlate(g_nhwc, kh, kw, kh - 1 - padding, kw - 1 - padding, kflip.T)
-            dx = dx.transpose(0, 3, 1, 2).astype(x_nhwc.dtype, copy=False)
+            dx = dx.transpose(0, 3, 1, 2).astype(x_dtype, copy=False)
         grads = (dx, dk.astype(kdata.dtype, copy=False))
         return grads + (g.sum(axis=(0, 2, 3)),) if has_bias else grads
 

@@ -598,3 +598,69 @@ class TestBoundary:
                 code = main(["report", run, SMALL_SYNTH, "--out", os.path.join(tmp, "charts")])
         assert code in (0, 2, 3)
         assert err.getvalue().count("\n") <= 1
+
+
+def _checkpoint_run(run, config, edit=None):
+    """A run dir holding a consistent checkpoint of `config` (its params list and blob agree), and probe
+    outputs for report; `edit` changes the pair before it is saved."""
+    from amimv import model as M
+    from amimv.tensor import Tensor
+
+    specs = M.param_specs(config)
+    pair = M.EncoderPair(
+        config=config,
+        q_params={n: Tensor(np.full(s, 0.5, np.float32), requires_grad=True) for n, s in specs},
+        k_params={n: Tensor(np.full(s, 0.5, np.float32)) for n, s in specs},
+    )
+    if edit:
+        edit(pair)
+    M.save_checkpoint(pair, str(run))
+    (run / "eval.json").write_text(_TWO_CLASS_EVAL)
+    (run / "confusion.csv").write_text("1,0\n0,1\n")
+
+
+_COMMAND_ARGS = {"probe": ["--epochs", "1"], "report": []}
+
+
+class TestCheckpointContent:
+    """A checkpoint whose params list and blob agree can still hold a config or weights no encoder can
+    run: each is rejected with one line before any output is written."""
+
+    @pytest.mark.parametrize("command", ["probe", "report"])
+    @pytest.mark.parametrize("field", ["input_size", "input_channels", "projector_hidden", "projector_out"])
+    def test_zero_dimension_exit_2(self, tmp_path, capsys, command, field):
+        from amimv import model as M
+
+        config = M.EncoderConfig(arch="tiny", input_channels=1, input_size=16)
+        setattr(config, field, 0)  # past __post_init__, as a hand-written manifest would be
+        run, out = tmp_path / "run", tmp_path / "out"
+        _checkpoint_run(run, config)
+        assert main([command, str(run), SMALL_SYNTH, *_COMMAND_ARGS[command], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {field} must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["probe", "report"])
+    @pytest.mark.parametrize(
+        "value,code,message",
+        [
+            (float("nan"), 2, "query parameter 'conv1.w' is not finite"),
+            (float("inf"), 2, "query parameter 'conv1.w' is not finite"),
+            (1e38, 4, "features on split '{split}' are not finite"),  # finite, but the conv sums overflow
+        ],
+        ids=["nan", "inf", "1e38"],
+    )
+    def test_non_finite_or_overflowing_weight(self, tmp_path, capsys, command, value, code, message):
+        from amimv import model as M
+
+        def one_weight(pair):
+            pair.q_params["conv1.w"].data[0, 0, 1, 1] = value
+
+        config = M.EncoderConfig(arch="tiny", input_channels=1, input_size=16)
+        run, out = tmp_path / "run", tmp_path / "out"
+        _checkpoint_run(run, config, one_weight)
+        assert main([command, str(run), SMALL_SYNTH, *_COMMAND_ARGS[command], "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        split = "train" if command == "probe" else "test"
+        assert err.count("\n") == 1 and message.format(split=split) in err
+        assert not out.exists()

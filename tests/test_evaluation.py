@@ -1,5 +1,6 @@
 """Linear probe, classification metrics, alignment/uniformity, PCA."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from amimv import evaluation as E
 from amimv import model as M
 from amimv import tensor as T
 from amimv.datasets import make_synthetic_longtail
-from amimv.errors import ValidationError
+from amimv.errors import NumericError, ValidationError
 from amimv.trainer import OptimState, adamw_step
 
 
@@ -43,6 +44,15 @@ class TestExtractFeatures:
             t.data = t.data + 1.0  # perturbation oracle
         after, _ = E.extract_features(pair, ds, "val")
         np.testing.assert_array_equal(before, after)
+
+    def test_overflowing_weights_raise_numeric_error(self, setup):
+        ds, pair = setup
+        pair = dataclasses.replace(pair, q_params=dict(pair.q_params))
+        weight = pair.q_params["conv1.w"].data.copy()
+        weight[0, 0, 1, 1] = 1e38  # finite, but the conv sums overflow float32
+        pair.q_params["conv1.w"] = T.Tensor(weight)
+        with pytest.raises(NumericError, match="'val' are not finite"):
+            E.extract_features(pair, ds, "val")
 
     def test_missing_split(self, setup):
         ds, pair = setup

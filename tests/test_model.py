@@ -48,6 +48,12 @@ class TestInitPair:
         with pytest.raises(ValidationError):
             M.EncoderConfig(arch="tiny", input_size=30)
 
+    @pytest.mark.parametrize("field", ["input_size", "input_channels", "projector_hidden", "projector_out"])
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_dimension_below_one_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be >= 1, got {value}"):
+            M.EncoderConfig(arch="tiny", **{field: value})
+
 
 class TestEncode:
     def test_projection_unit_norm(self):
@@ -171,3 +177,12 @@ class TestCheckpoint:
         assert (tmp_path / "a" / "checkpoint.bin").read_bytes() == (
             tmp_path / "b" / "checkpoint.bin"
         ).read_bytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("params,encoder", [("q_params", "query"), ("k_params", "key")])
+    def test_non_finite_weight_rejected_by_name(self, tmp_path, value, params, encoder):
+        pair = M.init_pair(CFG, seed=9)
+        getattr(pair, params)["gn2.beta"].data[3] = value
+        M.save_checkpoint(pair, tmp_path)
+        with pytest.raises(ValidationError, match=f"{encoder} parameter 'gn2.beta' is not finite"):
+            M.load_checkpoint(tmp_path)

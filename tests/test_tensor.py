@@ -266,6 +266,13 @@ class TestGradcheck:
         a = a + 0.1 * np.sign(a)  # keep away from the kink
         check_gradients(lambda x: T.sum_(T.mul(T.relu(x), x)), [a])
 
+    def test_group_norm_relu(self):
+        x, gamma, beta = _shapes([(2, 6, 3, 3), (6,), (6,)])
+        check_gradients(
+            lambda a, g, b: T.sum_(T.mul(y := T.group_norm(a, g, b, 3, 1e-5, relu=True), T.add(y, a))),
+            [x, gamma, beta],
+        )
+
     def test_exp_log_sqrt(self):
         (a,) = _shapes([(3, 3)])
         a = np.abs(a) + 0.5
@@ -371,6 +378,11 @@ def _fused_cases(rng):
         (
             weighted(T.linear, (3, 2)),
             [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)],
+        ),
+        # the fused ReLU, two channels per group
+        (
+            weighted(lambda x, g, b: T.group_norm(x, g, b, 2, 1e-5, relu=True), (2, 4, 3, 2)),
+            [rng.normal(size=(2, 4, 3, 2)), rng.normal(size=4), rng.normal(size=4)],
         ),
     ]
 
@@ -481,6 +493,58 @@ def test_group_norm_float32_dx_matches_float64_chain(shape):
     (new, want) = dx
     assert new.dtype == np.float32 and new.shape == want.shape
     assert np.abs(new - want).max() <= 1e-5 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _ENCODER_NORMS)
+def test_group_norm_relu_bitwise_equals_relu_of_group_norm(dtype, shape):
+    """group_norm(..., relu=True) gives the out, dx, dgamma and dbeta bytes of relu(group_norm(...)), in one
+    record instead of two."""
+    rng = np.random.default_rng(21)
+    c = shape[1]
+    arrays = [rng.normal(size=s).astype(dtype) for s in (shape, (c,), (c,), shape)]
+    results = []
+    for op in (
+        lambda x, gamma, beta: T.group_norm(x, gamma, beta, 8, 1e-5, relu=True),
+        lambda x, gamma, beta: T.relu(T.group_norm(x, gamma, beta, 8, 1e-5)),
+    ):
+        x, gamma, beta = (T.Tensor(a, requires_grad=True) for a in arrays[:3])
+        with T.Tape() as tape:
+            y = op(x, gamma, beta)
+            loss = T.sum_(T.mul(y, T.Tensor(arrays[3])))  # hands the op exactly arrays[3]
+        T.backward(loss, tape)
+        results.append(([y.data, x.grad, gamma.grad, beta.grad], len(tape.records)))
+    (fused, n_fused), (pair, n_pair) = results
+    for got, want in zip(fused, pair):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+    assert (fused[0] > 0).any() and (fused[0] == 0).any()  # both sides of the kink are exercised
+    assert n_fused == n_pair - 1
+
+
+def test_group_norm_relu_rebuild_only_when_recorded():
+    """Only a recorded relu output carries a rebuild function; it gives the output's bytes, keeps its mask
+    at one bit per element and reaches no array but the norm's own normed, gamma and beta."""
+    rng = np.random.default_rng(22)
+    x, gamma, beta = (rng.normal(size=s).astype(np.float32) for s in ((3, 16, 5, 5), (16,), (16,)))
+    leaves = [T.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    assert T.group_norm(*leaves, 8, 1e-5, relu=True).rebuild is None  # no tape
+    with T.Tape() as tape:
+        with T.no_grad():
+            assert T.group_norm(*leaves, 8, 1e-5, relu=True).rebuild is None
+        assert T.group_norm(*leaves, 8, 1e-5).rebuild is None
+        y = T.group_norm(*leaves, 8, 1e-5, relu=True)
+    np.testing.assert_array_equal(y.rebuild(), y.data)
+
+    def owners(roots):
+        return {id(a): a for a in _reachable_arrays(roots) if a.base is None}
+
+    kept, rebuild = owners([tape.records[-1].backward_fn]), owners([y.rebuild])
+    # the rebuild needs no memory of its own: beyond the beta parameter, it reaches what the record keeps
+    assert rebuild and set(rebuild) <= set(kept) | {id(leaves[2].data)}
+    assert not [a for a in rebuild.values() if np.may_share_memory(a, y.data)]
+    # the record keeps normed (x's size), sd, gamma and the mask's bits
+    assert sum(a.nbytes for a in kept.values()) <= x.nbytes + 3 * 8 * 4 + gamma.nbytes + -(-x.size // 8)
 
 
 def test_group_norm_needs_whole_groups():
@@ -902,6 +966,66 @@ def test_conv2d_backward_memory_is_bounded(x_shape, k_shape, stride, pad):
     assert peak <= T._IM2COL_BYTES + image_cols + g.nbytes + x.nbytes + padded + 3 * k.nbytes
 
 
+# the convs that read a GN-ReLU output in a small_residual pass: stem -> block0.conv1 (the shape of
+# block0.conv2) and the conv2 of blocks 0-3
+_GN_RELU_CONVS = [_ENCODER_CONVS[i] for i in (6, 8, 11, 14)]
+
+
+def _gn_relu_conv(x, k, b, pad):
+    """A recorded conv2d on a recorded group_norm(x, 1, 0, relu=True): the norm's output, the conv's
+    output, and the conv record's backward function."""
+    c = x.shape[1]
+    leaves = [T.Tensor(a, requires_grad=True) for a in (x, k, b, np.ones(c, x.dtype), np.zeros(c, x.dtype))]
+    with T.Tape() as tape:
+        h = T.group_norm(leaves[0], leaves[3], leaves[4], int(np.gcd(8, c)), 1e-5, relu=True)
+        y = T.conv2d(h, leaves[1], 1, pad, bias=leaves[2])
+    return h, y, tape.records[-1].backward_fn
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _GN_RELU_CONVS + [_ENCODER_CONVS[i] for i in (1, 17)])
+def test_conv2d_on_a_gn_relu_output_equals_plain_input(dtype, x_shape, k_shape, stride, pad):
+    """On a recorded GN-ReLU output, conv2d's record keeps no array of its input, and its out, dx, dk and
+    db are byte-equal to conv2d's on a plain tensor holding the same values."""
+    x, k, b, g = _conv2d_inputs(np.random.default_rng(23), dtype, x_shape, k_shape, stride, pad)
+    h, y, conv_bwd = _gn_relu_conv(x, k, b, pad)
+    assert h.rebuild is not None
+    assert not [a.shape for a in _reachable_arrays([conv_bwd]) if np.may_share_memory(a, h.data)]
+    plain = [T.Tensor(a, requires_grad=True) for a in (h.data.copy(), k, b)]
+    with T.Tape() as tape:
+        want = T.conv2d(plain[0], plain[1], stride, pad, bias=plain[2])
+    np.testing.assert_array_equal(y.data, want.data)
+    for got, expected in zip(conv_bwd(g), tape.records[-1].backward_fn(g)):
+        assert got.dtype == expected.dtype == dtype
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _GN_RELU_CONVS)
+def test_conv2d_backward_memory_is_bounded_on_a_gn_relu_output(x_shape, k_shape, stride, pad):
+    """On a GN-ReLU output the backward rebuilds x and lets it go before the input gradient, so the bound
+    of test_conv2d_backward_memory_is_bounded, with one chunk's padded input in place of the whole batch's,
+    counts x's bytes once: the rebuilt input and dx are never alive together."""
+    x, k, b, g = _conv2d_inputs(np.random.default_rng(20), np.float32, x_shape, k_shape, stride, pad)
+    _, _, conv_bwd = _gn_relu_conv(x, k, b, pad)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = conv_bwd(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [a.shape for a in grads] == [x_shape, k_shape, k_shape[:1]]
+    n, c, h, w = x_shape
+    f, _, kh, kw = k_shape
+    ho, wo = g.shape[2:]
+    # per image: x's and g's im2col rows, and x and g padded for their gathers
+    cols = (ho * wo * c * kh * kw * x.itemsize, h * w * f * kh * kw * x.itemsize)
+    padded = ((h + 2 * pad) * (w + 2 * pad) * c * x.itemsize, (h + kh - 1) * (w + kw - 1) * f * x.itemsize)
+    chunk_padded = max(min(n, max(1, T._IM2COL_BYTES // r)) * p for r, p in zip(cols, padded))
+    assert peak <= T._IM2COL_BYTES + max(cols) + g.nbytes + x.nbytes + chunk_padded + 3 * k.nbytes
+
+
 def _reachable_arrays(roots):
     """Every array reachable from `roots` through slots, closures, containers and array bases."""
     seen, arrays, stack = set(), [], list(roots)
@@ -956,6 +1080,24 @@ def test_tape_holds_no_dead_activations(monkeypatch, arch, size):
     reachable = _reachable_arrays(tape.records)
     assert any(a is params["proj3.w"].data for a in reachable)  # the walk does reach arrays
     assert not [a.shape for a in reachable for dead in outputs if np.may_share_memory(a, dead)]
+
+
+@pytest.mark.parametrize("arch,size,fed", [("tiny", 28, 0), ("small_residual", 32, 5)])
+def test_tape_holds_no_gn_relu_conv_input(monkeypatch, arch, size, fed):
+    """After a recorded encoder pass, no conv record reaches the array of an input it can rebuild: the
+    five GN-ReLU outputs a small_residual pass feeds to a conv (tiny pools each one first)."""
+    inputs = []
+
+    def spy(x, *args, _op=T.conv2d, **kwargs):
+        out = _op(x, *args, **kwargs)
+        if x.rebuild is not None:
+            inputs.append((out.record, x.data))
+        return out
+
+    monkeypatch.setattr(T, "conv2d", spy)
+    _encoder_pass(arch, size)
+    assert len(inputs) == fed
+    assert not [rec for rec, xd in inputs if any(np.may_share_memory(a, xd) for a in _reachable_arrays([rec]))]
 
 
 def _param_array_ids(params):
