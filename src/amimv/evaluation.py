@@ -87,8 +87,9 @@ def extract_features(
     in ceil(n / batch_size) chunks of near-equal size. No chunk is left with
     a few rows (unless the split is that small), so every chunk's dense
     layers run the same BLAS kernel and an image's features do not depend
-    on where it falls in the split. Non-finite features (weights that
-    overflow the encoder) raise NumericError."""
+    on where it falls in the split. The projection head does not run.
+    Non-finite features (weights that overflow the encoder) raise
+    NumericError."""
     if split not in dataset.splits:
         raise ValidationError(f"unknown split {split!r}; have {sorted(dataset.splits)}")
     images, labels = dataset.splits[split]
@@ -102,7 +103,7 @@ def extract_features(
         views = normalize_view(images[start:stop], dataset.channel_stats, pair.config.input_size)
         # an overflow shows as non-finite features, checked below, not as warning lines on stderr
         with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-            feats, _ = M.encode(pair.q_params, views, pair.config)
+            feats, _ = M.encode(pair.q_params, views, pair.config, project=False)
         chunks.append(feats.data)
     features = np.concatenate(chunks)
     if not np.isfinite(features).all():
@@ -154,17 +155,27 @@ def linear_probe(
     for epoch in range(config.epochs):
         lr = _probe_lr(epoch, config.epochs, config.lr)
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb = x[idx]
-            logits = xb @ w.data + b.data
-            shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-            # (softmax - onehot) / B, rounded as the tape's backward of mean(lse - <logits, onehot>)
-            inv = np.float32(1) / np.float32(len(idx))
-            dl = (-inv) * onehot_all[idx]
-            dl += inv * (shifted / shifted.sum(axis=-1, keepdims=True))
-            w.grad, b.grad = xb.T @ dl, dl.sum(axis=0)
-            adamw_step({"w": w, "b": b}, opt, lr)
+        # huge finite features overflow the squared gradient; that shows as the NumericError below, not as
+        # warning lines on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                xb = x[idx]
+                logits = xb @ w.data + b.data
+                shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+                # (softmax - onehot) / B, rounded as the tape's backward of mean(lse - <logits, onehot>)
+                inv = np.float32(1) / np.float32(len(idx))
+                dl = (-inv) * onehot_all[idx]
+                dl += inv * (shifted / shifted.sum(axis=-1, keepdims=True))
+                w.grad, b.grad = xb.T @ dl, dl.sum(axis=0)
+                adamw_step({"w": w, "b": b}, opt, lr)
+        # inf and nan absorb every later AdamW update, so once an epoch has made a value non-finite it stays so
+        state = [w.data, b.data] + [a for slot in opt.buffers.values() for a in slot.values()]
+        if not all(np.isfinite(a).all() for a in state):
+            raise NumericError(
+                f"the linear probe's weights or AdamW moments are not finite after epoch {epoch + 1}"
+                " (features too large for float32 gradients)"
+            )
 
     return ProbeResult(
         weights=w.data.astype(np.float64), bias=b.data.astype(np.float64), missing_classes=missing

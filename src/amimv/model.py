@@ -196,8 +196,12 @@ def _encode_small_residual(p: dict, x: Tensor) -> Tensor:
     return T.linear(flat, p["feat.w"], p["feat.b"])
 
 
-def encode(pair_params: dict[str, Tensor], batch: Tensor, config: EncoderConfig) -> tuple[Tensor, Tensor]:
-    """Return (pre-projector features [N,D], L2-normalized projections [N,128])."""
+def encode(
+    pair_params: dict[str, Tensor], batch: Tensor, config: EncoderConfig, project: bool = True
+) -> tuple[Tensor, Tensor | None]:
+    """Return (pre-projector features [N,D], L2-normalized projections [N,128]); with ``project=False``
+    the projection head does not run and the second item is None (feature extraction reads only the
+    features)."""
     expected = (config.input_channels, config.input_size, config.input_size)
     if batch.data.ndim != 4 or batch.shape[1:] != expected:
         raise DimensionError(f"batch shape {batch.shape} does not match {('N',) + expected}")
@@ -205,6 +209,8 @@ def encode(pair_params: dict[str, Tensor], batch: Tensor, config: EncoderConfig)
         features = _encode_tiny(pair_params, batch)
     else:
         features = _encode_small_residual(pair_params, batch)
+    if not project:
+        return features, None
     h = T.relu(T.linear(features, pair_params["proj1.w"], pair_params["proj1.b"]))
     h = T.relu(T.linear(h, pair_params["proj2.w"], pair_params["proj2.b"]))
     h = T.linear(h, pair_params["proj3.w"], pair_params["proj3.b"])

@@ -23,12 +23,17 @@ the step ends, and a replayed tape cannot be replayed again.
 
 All three conv2d products are im2col GEMMs, with one lowering. conv2d runs at
 stride 1 with zero padding 0 <= p < kernel size, the only convs the encoders
-use. It takes and returns NCHW, but its im2col gathers a channels-last
-[N,H,W,C] copy with columns in (kh, kw, c) order, one window-view copy that
-moves each kernel row's (kw, c) block as one run. At stride 1 the input
-gradient is the correlation of g, padded by k-1-p, with the flipped kernel
-(arXiv:1603.07285), so the forward and the input gradient (skipped for an
-input that does not require one) run one helper on x and on g. Every
+use. It takes and returns NCHW, but its im2col works channels-last, with
+columns in (kh, kw, c) order, in two copies: x goes into an [N, H*W+1, C]
+buffer whose last pixel of each image is zero, and one np.take gathers each
+tap's c values from it along a flat pixel index that depends on shapes
+alone and is cached; every tap on the padding reads the zero pixel
+(arXiv:1410.0759). A 1x1 kernel without padding reads each pixel in order,
+so there x's channels-last rows are the matrix, copied only where x's
+memory is NCHW. At stride 1 the input gradient is the correlation of g,
+padded by k-1-p, with the flipped kernel (arXiv:1603.07285), so the forward
+and the input gradient (skipped for an input that does not require one) run
+one helper on x and on g. Every
 im2col gather, the kernel gradient's too, takes a chunk of whole images at a
 time, at most _IM2COL_BYTES (8 MiB) per chunk (Caffe's column buffer,
 arXiv:1408.5093). The forward and the input gradient multiply each chunk
@@ -48,16 +53,18 @@ suite.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DimensionError
 
 FLOAT_DTYPES = (np.float32, np.float64)
 # the most bytes of im2col matrix conv2d gathers at once
 _IM2COL_BYTES = 8 << 20
+# the most im2col tap maps kept; a training step uses one per padded conv input size, four at most
+_TAP_MAPS = 32
 
 
 class Tensor:
@@ -459,15 +466,31 @@ def group_norm(
 # convolution and pooling
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
-    n, h, w, c = x.shape
+@functools.lru_cache(maxsize=_TAP_MAPS)
+def _tap_map(h: int, w: int, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
+    """The pixel each (ho, wo, kh, kw) tap of a stride-1 correlation, zero-padded by ph rows and pw
+    columns, reads from an image of h*w pixels followed by one zero pixel: its flat index, or h*w for every
+    tap on the padding. Shapes alone set it (ho*wo*kh*kw indices, one image's worth), so it is cached and
+    read-only."""
     ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    # x is [N,H,W,C]; rows (n, ho, wo), columns (kh, kw, c). The window view is copied once; where x's
-    # rows are contiguous, each kernel row's (kw, c) block is one run, so the copy moves kw*c values at a time
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, kh * kw * c)
+    r = (np.arange(ho)[:, None] + np.arange(kh) - ph)[:, None, :, None]  # (ho, 1, kh, 1)
+    s = (np.arange(wo)[:, None] + np.arange(kw) - pw)[None, :, None, :]  # (1, wo, 1, kw)
+    taps = np.where((r >= 0) & (r < h) & (s >= 0) & (s < w), r * w + s, h * w).astype(np.intp).ravel()
+    taps.flags.writeable = False
+    return taps
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
+    """x [N,H,W,C] as its im2col matrix: rows (n, ho, wo), columns (kh, kw, c). x is copied once into
+    [N, H*W+1, C], each image's pixels then one zero pixel, and np.take gathers every tap's pixel from it,
+    a run of c values, along _tap_map (an index-driven lowering, arXiv:1410.0759)."""
+    n, h, w, c = x.shape
+    if (kh, kw, ph, pw) == (1, 1, 0, 0):  # each tap reads its own pixel, in order: x's rows are the matrix
+        return np.ascontiguousarray(x).reshape(n * h * w, c)
+    buf = np.empty((n, h * w + 1, c), dtype=x.dtype)
+    np.copyto(buf[:, : h * w].reshape(n, h, w, c), x)
+    buf[:, h * w] = 0
+    return np.take(buf, _tap_map(h, w, kh, kw, ph, pw), axis=1).reshape(-1, kh * kw * c)
 
 
 def _chunks(src: np.ndarray, kh: int, kw: int, ph: int, pw: int):

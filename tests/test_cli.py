@@ -664,3 +664,21 @@ class TestCheckpointContent:
         split = "train" if command == "probe" else "test"
         assert err.count("\n") == 1 and message.format(split=split) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["feat.w", "feat.b"])
+    def test_huge_features_overflow_the_probe_exit_4(self, tmp_path, capsys, recwarn, name):
+        """A feature weight or bias of 1e30 gives finite features, whose squared gradients overflow the
+        probe's AdamW second moment in float32: probe exits 4 with one line, no warning, and no eval files."""
+        from amimv import model as M
+
+        def one_weight(pair):
+            pair.q_params[name].data.reshape(-1)[0] = 1e30
+
+        config = M.EncoderConfig(arch="tiny", input_channels=1, input_size=16)
+        run, out = tmp_path / "run", tmp_path / "out"
+        _checkpoint_run(run, config, one_weight)
+        assert main(["probe", str(run), SMALL_SYNTH, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "AdamW moments are not finite" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()

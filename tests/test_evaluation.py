@@ -14,6 +14,7 @@ from amimv import tensor as T
 from amimv.datasets import make_synthetic_longtail
 from amimv.errors import NumericError, ValidationError
 from amimv.trainer import OptimState, adamw_step
+from amimv.views import normalize_view
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,28 @@ class TestExtractFeatures:
         ds, pair = setup
         with pytest.raises(ValidationError):
             E.extract_features(pair, ds, "dev")
+
+    @pytest.mark.parametrize("arch,size", [("tiny", 16), ("small_residual", 32)])
+    def test_features_are_encode_features_without_the_head(self, monkeypatch, arch, size):
+        """The features are byte-equal to those of a full encode pass (head included), and the projection
+        head's layers and L2 norm do not run."""
+        config = M.EncoderConfig(arch=arch, input_channels=1, input_size=size)
+        pair = M.init_pair(config, seed=0)
+        ds = make_synthetic_longtail(2, [20, 12], image_size=size, seed=0)
+        views = normalize_view(ds.splits["test"][0], ds.channel_stats, size)
+        with T.no_grad():
+            want, _ = M.encode(pair.q_params, views, config)
+        linears = []
+
+        def spy(x, w, b, _op=T.linear):
+            linears.append(w)
+            return _op(x, w, b)
+
+        monkeypatch.setattr(T, "linear", spy)
+        monkeypatch.setattr(T, "l2_normalize", None)  # a call would fail
+        got, _ = E.extract_features(pair, ds, "test")
+        assert got.tobytes() == want.data.tobytes()
+        assert linears == [pair.q_params["feat.w"]]
 
     @pytest.mark.parametrize("arch", ["tiny", "small_residual"])
     def test_chunks_of_128_and_256_agree(self, arch):
@@ -152,6 +175,18 @@ class TestLinearProbe:
         a = E.linear_probe(feats, labels, E.ProbeConfig(epochs=10, seed=5), num_classes=3)
         b = E.linear_probe(feats, labels, E.ProbeConfig(epochs=10, seed=5), num_classes=3)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_huge_features_raise_numeric_error(self, recwarn, column):
+        """Finite features of 1e30 overflow the squared gradient of AdamW's second moment in float32: the
+        probe stops with a NumericError, and the overflow raises no warning."""
+        rng = np.random.default_rng(6)
+        feats = rng.normal(size=(40, 4))
+        feats[:, column] = 1e30
+        labels = rng.integers(0, 2, size=40)
+        with pytest.raises(NumericError, match="not finite after epoch 1"):
+            E.linear_probe(feats, labels, E.ProbeConfig(epochs=3))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_missing_class_recorded(self):
         feats = np.random.default_rng(2).normal(size=(20, 4))

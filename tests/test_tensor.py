@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from amimv import model as M
 from amimv import tensor as T
@@ -964,6 +965,112 @@ def test_conv2d_backward_memory_is_bounded(x_shape, k_shape, stride, pad):
     image_cols = max(ho * wo * c, h * w * f) * kh * kw * x.itemsize  # x's and g's im2col rows per image
     padded = n * max((h + 2 * pad) * (w + 2 * pad) * c, (h + kh - 1) * (w + kw - 1) * f) * x.itemsize  # x, g
     assert peak <= T._IM2COL_BYTES + image_cols + g.nbytes + x.nbytes + padded + 3 * k.nbytes
+
+
+# ---------------------------------------------------------------------------
+# im2col against the window-view gather it replaced
+
+
+def _window_view_im2col(x, kh, kw, ph, pw):
+    """The im2col gather before the tap map: x [N,H,W,C] zero-padded by np.pad, then one copy of its
+    sliding_window_view with rows (n, ho, wo) and columns (kh, kw, c)."""
+    n, h, w, c = x.shape
+    ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, kh * kw * c)
+
+
+def _check_im2col(x, kh, kw, ph, pw):
+    got = T._im2col(x, kh, kw, ph, pw)
+    want = _window_view_im2col(x, kh, kw, ph, pw)
+    assert got.dtype == x.dtype and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("layout", ["nchw-view", "nhwc"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", _ENCODER_CONVS)
+def test_im2col_equals_window_view_gather(dtype, layout, x_shape, k_shape, stride, pad):
+    """On every encoder conv, the gathers conv2d makes (x at its padding, g at the input gradient's
+    k-1-pad) are byte-equal to the window-view gather, on the channels-last view of NCHW memory conv2d
+    hands in and on contiguous NHWC memory. Every padding pair in [0, kh-1] x [0, kw-1] is checked on the
+    first two images of x: the gather is per image, and two cover the zero pixel after each one."""
+    n, c, h, w = x_shape
+    f, _, kh, kw = k_shape
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    rng = np.random.default_rng(24)
+
+    def channels_last(shape):
+        a = rng.normal(size=shape).astype(dtype)
+        return a.transpose(0, 2, 3, 1) if layout == "nchw-view" else np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+    x, g = channels_last(x_shape), channels_last((n, f, ho, wo))
+    _check_im2col(x, kh, kw, pad, pad)
+    _check_im2col(g, kh, kw, kh - 1 - pad, kw - 1 - pad)
+    for ph in range(kh):
+        for pw in range(kw):
+            _check_im2col(x[:2], kh, kw, ph, pw)
+
+
+@given(
+    n=st.integers(1, 3), c=st.integers(1, 5), kh=st.integers(1, 4), kw=st.integers(1, 4),
+    dtype=st.sampled_from([np.float32, np.float64]), nhwc=st.booleans(), data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_im2col_any_shape_reads_the_zero_pixel_on_the_padding(n, c, kh, kw, dtype, nhwc, data):
+    """On small random shapes and paddings the gather is byte-equal to the window-view gather; the tap map
+    points every tap on the padding, and no other, at the zero pixel h*w, and the matrix holds 0 there."""
+    ph, pw = data.draw(st.integers(0, kh - 1), label="ph"), data.draw(st.integers(0, kw - 1), label="pw")
+    h = data.draw(st.integers(max(1, kh - 2 * ph), 9), label="h")
+    w = data.draw(st.integers(max(1, kw - 2 * pw), 9), label="w")
+    # no input value is 0, so a 0 in the matrix is the padding
+    x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).uniform(1, 2, (n, c, h, w))
+    x = x.astype(dtype).transpose(0, 2, 3, 1)
+    if nhwc:
+        x = np.ascontiguousarray(x)
+    _check_im2col(x, kh, kw, ph, pw)
+    inside = _window_view_im2col(np.ones((1, h, w, 1)), kh, kw, ph, pw).reshape(-1) == 1
+    taps = T._tap_map(h, w, kh, kw, ph, pw)
+    assert taps.shape == inside.shape and not taps.flags.writeable
+    assert (taps[~inside] == h * w).all() and (taps[inside] < h * w).all()
+    cols = T._im2col(x, kh, kw, ph, pw).reshape(n, -1, c)
+    assert (cols[:, ~inside] == 0).all() and (cols[:, inside] != 0).all()
+
+
+@pytest.mark.parametrize("arch,size,maps", [("tiny", 28, 2), ("small_residual", 32, 4)])
+def test_training_step_keeps_a_few_small_tap_maps(monkeypatch, tmp_path, arch, size, maps):
+    """The tap-map cache is bounded, and one training step fills one entry per padded conv input size
+    (a 1x1 conv without padding needs none). Each entry is one image's tap map, keyed by shapes alone: at
+    most ho*wo*kh*kw indices, the 73.7 KB of a 32 x 32 block-0 image with a 3x3 kernel."""
+    from amimv import trainer as TR
+    from amimv.datasets import resolve_dataset
+
+    assert T._tap_map.cache_info().maxsize == T._TAP_MAPS
+    keys = set()
+    gather = T._im2col
+
+    def spy(x, kh, kw, ph, pw):
+        keys.add((*x.shape[1:3], kh, kw, ph, pw))
+        return gather(x, kh, kw, ph, pw)
+
+    monkeypatch.setattr(T, "_im2col", spy)
+    T._tap_map.cache_clear()
+    spec = f"synthetic:C=2,counts=12:8,size={size}"
+    dataset = resolve_dataset(spec, seed=0)
+    train = dataset.splits["train"][0].shape[0]  # one batch of the whole split: one step
+    config = TR.RunConfig(dataset=spec, out_dir=str(tmp_path / "run"), epochs=1, batch_size=train, arch=arch)
+    TR.pretrain(config, dataset=dataset)
+    padded = sorted(key for key in keys if key[2:] != (1, 1, 0, 0))
+    info = T._tap_map.cache_info()
+    assert len(padded) == info.currsize == maps
+    for h, w, kh, kw, ph, pw in padded:
+        taps = T._tap_map(h, w, kh, kw, ph, pw)
+        assert taps.dtype == np.intp and not taps.flags.writeable
+        assert taps.size == (h + 2 * ph - kh + 1) * (w + 2 * pw - kw + 1) * kh * kw
+        assert taps.nbytes <= 32 * 32 * 9 * taps.itemsize
+    assert T._tap_map.cache_info().misses == info.misses  # served from the cache
 
 
 # the convs that read a GN-ReLU output in a small_residual pass: stem -> block0.conv1 (the shape of
