@@ -16,9 +16,10 @@ from . import model as M
 from . import tensor as T
 from .datasets import ImageDataset
 from .errors import NumericError, ValidationError
-from .tensor import Tensor
-from .trainer import OptimState, adamw_step
 from .views import normalize_view
+
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
 
 
 @dataclass
@@ -122,12 +123,27 @@ class ProbeResult:
     missing_classes: list[int] = field(default_factory=list)
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        return T.linear(Tensor(features), Tensor(self.weights), Tensor(self.bias)).data
+        return features @ self.weights + self.bias
 
 
 def _probe_lr(epoch: int, total: int, base: float) -> float:
     # cosine without warmup, per the linear-evaluation protocol
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / total))
+
+
+def _adamw_step(
+    p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, lr: float, weight_decay: float
+) -> np.ndarray:
+    """Step t >= 1 of AdamW (arXiv:1711.05101): bias-corrected moments and decoupled weight decay.
+    Updates the moments m and v in place and returns the new p."""
+    b1, b2 = ADAMW_BETAS
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    mhat = m / (1 - b1**t)
+    vhat = v / (1 - b2**t)
+    return p - lr * mhat / (np.sqrt(vhat) + ADAMW_EPS) - lr * weight_decay * p
 
 
 def linear_probe(
@@ -146,10 +162,11 @@ def linear_probe(
     missing = sorted(set(range(c)) - set(int(x) for x in np.unique(train_labels)))
     x = train_features.astype(np.float32)
 
-    w = Tensor(np.zeros((d, c), dtype=np.float32), requires_grad=True)
-    b = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
+    w = np.zeros((d, c), dtype=np.float32)
+    b = np.zeros(c, dtype=np.float32)
+    w_m, w_v, b_m, b_v = (np.zeros_like(a) for a in (w, w, b, b))  # AdamW's first and second moments
     onehot_all = np.eye(c, dtype=np.float32)[train_labels]
-    opt = OptimState(weight_decay=config.weight_decay)
+    t = 0
     rng = np.random.default_rng(np.random.PCG64(config.seed))
 
     for epoch in range(config.epochs):
@@ -161,25 +178,23 @@ def linear_probe(
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 xb = x[idx]
-                logits = xb @ w.data + b.data
+                logits = xb @ w + b
                 shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
                 # (softmax - onehot) / B, rounded as the tape's backward of mean(lse - <logits, onehot>)
                 inv = np.float32(1) / np.float32(len(idx))
                 dl = (-inv) * onehot_all[idx]
                 dl += inv * (shifted / shifted.sum(axis=-1, keepdims=True))
-                w.grad, b.grad = xb.T @ dl, dl.sum(axis=0)
-                adamw_step({"w": w, "b": b}, opt, lr)
+                t += 1
+                w = _adamw_step(w, xb.T @ dl, w_m, w_v, t, lr, config.weight_decay)
+                b = _adamw_step(b, dl.sum(axis=0), b_m, b_v, t, lr, config.weight_decay)
         # inf and nan absorb every later AdamW update, so once an epoch has made a value non-finite it stays so
-        state = [w.data, b.data] + [a for slot in opt.buffers.values() for a in slot.values()]
-        if not all(np.isfinite(a).all() for a in state):
+        if not all(np.isfinite(a).all() for a in (w, b, w_m, w_v, b_m, b_v)):
             raise NumericError(
                 f"the linear probe's weights or AdamW moments are not finite after epoch {epoch + 1}"
                 " (features too large for float32 gradients)"
             )
 
-    return ProbeResult(
-        weights=w.data.astype(np.float64), bias=b.data.astype(np.float64), missing_classes=missing
-    )
+    return ProbeResult(weights=w.astype(np.float64), bias=b.astype(np.float64), missing_classes=missing)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ class LossConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValidationError(f"temperature must be finite and positive, got {self.tau}")
+            raise ValidationError(f"tau (temperature) must be finite and positive, got {self.tau}")
         if self.fusion not in FUSION_KINDS:
             raise ValidationError(f"unknown fusion {self.fusion!r}; choose from {FUSION_KINDS}")
 
@@ -55,10 +55,6 @@ def nt_xent(z_left: Tensor, z_right: Tensor, tau: float = 0.2) -> Tensor:
 
     pool = T.l2_normalize(T.concat([z_left, z_right], axis=0))  # [2N, d]
     sim = T.scale(T.matmul(pool, T.transpose(pool)), 1.0 / tau)
-
-    if n == 1:
-        # only the positive survives the self-exclusion indicator
-        return T.scale(T.sum_(sim), 0.0)
 
     two_n = 2 * n
     # exclude self-similarity from every anchor's denominator

@@ -1,4 +1,4 @@
-"""Optimizers, learning-rate schedules, and the pretraining loop.
+"""SGD with momentum, learning-rate schedules, and the pretraining loop.
 
 The loop follows the momentum-pair recipe: encode the normalized anchor
 and augmented counterpart views with the query encoder, EMA-update the
@@ -66,23 +66,14 @@ def lr_at(step: int, schedule: Schedule) -> float:
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer
 
 
 @dataclass
 class OptimState:
     momentum: float = 0.9
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     weight_decay: float = 0.0
-    t: int = 0
-    buffers: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
-
-    def _buf(self, name: str, kind: str, like: np.ndarray) -> np.ndarray:
-        slot = self.buffers.setdefault(name, {})
-        if kind not in slot:
-            slot[kind] = np.zeros_like(like)
-        return slot[kind]
+    velocity: dict[str, np.ndarray] = field(default_factory=dict)  # one buffer per parameter name
 
 
 def sgd_step(params: dict[str, Tensor], state: OptimState, lr: float) -> None:
@@ -90,33 +81,12 @@ def sgd_step(params: dict[str, Tensor], state: OptimState, lr: float) -> None:
     for name, p in params.items():
         if p.grad is None:
             continue
-        v = state._buf(name, "v", p.data)
+        if name not in state.velocity:
+            state.velocity[name] = np.zeros_like(p.data)
+        v = state.velocity[name]
         v *= state.momentum
         v += p.grad
         p.data = (p.data - lr * (v + state.weight_decay * p.data)).astype(p.dtype, copy=False)
-        p.grad = None
-    state.t += 1
-
-
-def adamw_step(params: dict[str, Tensor], state: OptimState, lr: float) -> None:
-    """Adam moments with bias correction, decoupled weight decay."""
-    b1, b2 = state.betas
-    state.t += 1
-    t = state.t
-    for name, p in params.items():
-        if p.grad is None:
-            continue
-        m = state._buf(name, "m", p.data)
-        v = state._buf(name, "v", p.data)
-        m *= b1
-        m += (1 - b1) * p.grad
-        v *= b2
-        v += (1 - b2) * p.grad * p.grad
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        p.data = (
-            p.data - lr * mhat / (np.sqrt(vhat) + state.eps) - lr * state.weight_decay * p.data
-        ).astype(p.dtype, copy=False)
         p.grad = None
 
 
@@ -166,6 +136,11 @@ class RunConfig:
             raise ValidationError("amimv mode needs batch_size >= 2")
         if self.view_size < 0:
             raise ValidationError(f"view_size must be >= 0 (0: the dataset's size), got {self.view_size}")
+        divisor = M.INPUT_DIVISOR[self.arch]
+        if self.view_size % divisor:
+            raise ValidationError(
+                f"view_size must be divisible by {divisor} for arch {self.arch}, got {self.view_size}"
+            )
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise ValidationError(f"ema_momentum {self.ema_momentum} outside [0,1]")
         if not 0 <= self.seed < 2**63:  # the CLI's seed range; the draws hash the seed mod 2**64
@@ -174,8 +149,9 @@ class RunConfig:
             raise ValidationError(f"base_lr must be >= 0 (0: batch-scaled), got {self.base_lr}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValidationError(f"warmup_fraction {self.warmup_fraction} outside [0,1]")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValidationError(f"tau must be finite and > 0, got {self.tau}")
+        losses.LossConfig(self.tau, self.fusion)  # rejects a bad tau or fusion by name
+        if not 0.0 <= self.blur_probability <= 1.0:
+            raise ValidationError(f"blur_probability {self.blur_probability} outside [0,1]")
         for key in ("weight_decay", "sgd_momentum", "warmup_start"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):

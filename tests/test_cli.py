@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from test_datasets import damaged_npz, npy_payload, small_dataset, write_archive
 
 from amimv import datasets
+from amimv import trainer as TR
 from amimv.cli import main
 from amimv.trainer import RunConfig
 
@@ -207,6 +208,9 @@ class TestPretrain:
             ["--view_size", "-4"],
             ["--snapshot_epochs", "0"],
             ["--snapshot_epochs", "1:2"],
+            ["--fusion", "bogus"],
+            ["--blur_probability", "2"],
+            ["--view_size", "30"],
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, flags):
@@ -227,6 +231,18 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--fusion", "bogus"], ["--blur_probability", "2"], ["--view_size", "30"], ["--tau", "0"]]
+    )
+    def test_bad_config_value_fails_before_the_dataset(self, tmp_path, monkeypatch, flags):
+        def resolve_dataset(*args, **kwargs):
+            raise AssertionError("the dataset was resolved before the config was checked")
+
+        monkeypatch.setattr(TR, "resolve_dataset", resolve_dataset)
+        out = tmp_path / "run"
+        assert main(["pretrain", "--out", str(out), "--dataset", SMALL_SYNTH, *flags]) == 2
         assert not out.exists()
 
     @given(

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,6 @@ from amimv import model as M
 from amimv import tensor as T
 from amimv.datasets import make_synthetic_longtail
 from amimv.errors import NumericError, ValidationError
-from amimv.trainer import OptimState, adamw_step
 from amimv.views import normalize_view
 
 
@@ -106,7 +109,8 @@ def _tape_probe(features, labels, config, num_classes=None):
     w = T.Tensor(np.zeros((d, c), dtype=np.float32), requires_grad=True)
     b = T.Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
     onehot = np.eye(c, dtype=np.float32)[labels]
-    opt = OptimState(weight_decay=config.weight_decay)
+    w_m, w_v, b_m, b_v = (np.zeros_like(p.data) for p in (w, w, b, b))
+    t = 0
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     for epoch in range(config.epochs):
         lr = E._probe_lr(epoch, config.epochs, config.lr)
@@ -118,8 +122,36 @@ def _tape_probe(features, labels, config, num_classes=None):
                 nll = T.sub(T.logsumexp(logits), T.sum_(T.mul(logits, T.Tensor(onehot[idx])), axis=1))
                 loss = T.mean(nll)
             T.backward(loss, tape)
-            adamw_step({"w": w, "b": b}, opt, lr)
+            t += 1
+            w.data = E._adamw_step(w.data, w.grad, w_m, w_v, t, lr, config.weight_decay)
+            b.data = E._adamw_step(b.data, b.grad, b_m, b_v, t, lr, config.weight_decay)
     return w.data.astype(np.float64), b.data.astype(np.float64)
+
+
+def test_importing_evaluation_leaves_trainer_out():
+    """The training loop may import evaluation (for health signals) without an import cycle."""
+    src = str(Path(E.__file__).resolve().parent.parent)
+    code = "import sys, amimv.evaluation; print(*sorted(m for m in sys.modules if m.startswith('amimv')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    modules = done.stdout.split()
+    assert "amimv.evaluation" in modules and "amimv.trainer" not in modules
+
+
+class TestAdamwStep:
+    def test_first_step_close_to_lr(self):
+        p = np.array([1.0], dtype=np.float32)
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        p = E._adamw_step(p, np.array([1.0], dtype=np.float32), m, v, 1, lr=0.01, weight_decay=0.0)
+        # bias-corrected ratio is ~1 on the first step
+        assert p[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+
+    def test_decoupled_decay_only(self):
+        p = np.array([1.0], dtype=np.float32)
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        p = E._adamw_step(p, np.array([0.0], dtype=np.float32), m, v, 1, lr=0.5, weight_decay=0.1)
+        assert p[0] == pytest.approx(1.0 * (1 - 0.5 * 0.1), abs=1e-6)
 
 
 class TestLinearProbe:

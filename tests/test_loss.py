@@ -46,6 +46,13 @@ class TestFuse:
 class TestNtXentClosedForms:
     def test_n1_is_zero(self):
         assert L.nt_xent(t([[1.0, 0.0]]), t([[0.0, 1.0]]), tau=0.5).item() == 0.0
+        # the positive is the only term of each denominator, so the gradients are zero too
+        z_left, z_right = t([[0.3, -1.2, 0.5]], requires_grad=True), t([[2.0, 0.1, -0.7]], requires_grad=True)
+        with T.Tape() as tape:
+            loss = L.nt_xent(z_left, z_right, tau=0.2)
+        T.backward(loss, tape)
+        assert loss.item() == 0.0
+        assert not z_left.grad.any() and not z_right.grad.any()
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_identical_embeddings_ln_2n_minus_1(self, n):

@@ -79,26 +79,6 @@ class TestSgdStep:
         assert params["p"].data[0] == pytest.approx(-0.29, abs=1e-6)
 
 
-class TestAdamwStep:
-    def test_zero_grad_no_change(self):
-        params = one_param(2.0)
-        TR.adamw_step(params, TR.OptimState(), lr=0.01)
-        assert params["p"].data[0] == np.float32(2.0)
-
-    def test_first_step_close_to_lr(self):
-        params = one_param(1.0)
-        params["p"].grad = np.array([1.0], dtype=np.float32)
-        TR.adamw_step(params, TR.OptimState(), lr=0.01)
-        # bias-corrected ratio is ~1 on the first step
-        assert params["p"].data[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
-
-    def test_decoupled_decay_only(self):
-        params = one_param(1.0)
-        params["p"].grad = np.array([0.0], dtype=np.float32)
-        TR.adamw_step(params, TR.OptimState(weight_decay=0.1), lr=0.5)
-        assert params["p"].data[0] == pytest.approx(1.0 * (1 - 0.5 * 0.1), abs=1e-6)
-
-
 class TestConfig:
     def test_unknown_key_listed(self):
         with pytest.raises(ValidationError, match="foo"):
