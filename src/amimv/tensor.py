@@ -13,13 +13,14 @@ record that produced it on the same tape, the leaf tensor, or None for an
 input that needs no gradient. It holds no output or input tensor, and the
 closures capture shapes, dtypes and the arrays their gradients read, so an
 activation no gradient reads (a conv, group-norm or add output) is freed
-once the next layer has run (activation lifetimes, arXiv:1604.06174); relu
-keeps its mask packed at one bit per element. An op output from another
-tape is a leaf on this one. Gradients are keyed by record or leaf and
-replayed in reverse recording order. The tape is released as it is
-replayed: backward takes each record's closure off it before running it, so
-the arrays a layer saved are freed once its gradient is computed, not when
-the step ends, and a replayed tape cannot be replayed again.
+once the next layer has run (activation lifetimes, arXiv:1604.06174); a
+recorded relu keeps its mask packed at one bit per element, and an
+unrecorded one packs none. An op output from another tape is a leaf on this
+one. Gradients are keyed by record or leaf and replayed in reverse
+recording order. The tape is released as it is replayed: backward takes
+each record's closure off it before running it, so the arrays a layer saved
+are freed once its gradient is computed, not when the step ends, and a
+replayed tape cannot be replayed again.
 
 All three conv2d products are im2col GEMMs, with one lowering. conv2d runs at
 stride 1 with zero padding 0 <= p < kernel size, the only convs the encoders
@@ -33,15 +34,20 @@ so there x's channels-last rows are the matrix, copied only where x's
 memory is NCHW. At stride 1 the input gradient is the correlation of g,
 padded by k-1-p, with the flipped kernel (arXiv:1603.07285), so the forward
 and the input gradient (skipped for an input that does not require one) run
-one helper on x and on g. Every
-im2col gather, the kernel gradient's too, takes a chunk of whole images at a
-time, at most _IM2COL_BYTES (8 MiB) per chunk (Caffe's column buffer,
-arXiv:1408.5093). The forward and the input gradient multiply each chunk
-into its rows of one preallocated result. The tape keeps a conv's input, not
-its im2col matrix (kh*kw times larger); the kernel gradient gathers the
-matrix again from the input in the forward's chunks and sums their GEMMs in
-chunk order, so at most one chunk's matrix is alive (arXiv:1604.06174).
-Group norm's input gradient is its closed form, two reductions per group.
+one helper on x and on g. Every im2col gather, the kernel gradient's too,
+takes a chunk of whole images at a time (Caffe's column buffer,
+arXiv:1408.5093): as many as fit in _IM2COL_BYTES (2 MiB) together with
+their GEMM result and the kernel matrix it multiplies, or one image. The
+forward (adding the bias) and the input gradient write each chunk's product
+straight into its images of their NCHW result, so no whole-batch GEMM
+result is held. The tape keeps a conv's input, not its im2col matrix (kh*kw
+times larger); the kernel gradient gathers the matrix again from the input
+in chunks sized by the matrix alone, its product being kernel-sized, and
+sums their GEMMs in chunk order, so at most one chunk's matrix is alive
+(arXiv:1604.06174).
+Group norm's input gradient is its closed form in per-(n, c) coefficients,
+dx = k1*g + k2*x^ + k3, from the sums over H, W of g and of g*x^: it holds
+at most two x-sized arrays at once and writes only into a masked g of its own.
 ``group_norm(..., relu=True)`` runs a ReLU in place on the norm's output,
 with the bytes of relu(group_norm(...)). A conv keeps x, except a recorded
 GN-ReLU output: it keeps that output's ``rebuild`` function, over arrays the
@@ -61,8 +67,8 @@ import numpy as np
 from .errors import ContractError, DimensionError
 
 FLOAT_DTYPES = (np.float32, np.float64)
-# the most bytes of im2col matrix conv2d gathers at once
-_IM2COL_BYTES = 8 << 20
+# the most bytes of im2col matrix, and of its GEMM result, conv2d holds at once
+_IM2COL_BYTES = 2 << 20
 # the most im2col tap maps kept; a training step uses one per padded conv input size, four at most
 _TAP_MAPS = 32
 
@@ -164,10 +170,16 @@ def _source(t: Tensor, tape_key: object) -> "_Record | Tensor | None":
     return t.record if t.record is not None and t.record.tape_key is tape_key else t
 
 
-def _make(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
+def _recording_tape(inputs: Sequence[Tensor]) -> Tape | None:
+    """The tape an op on `inputs` is recorded on: the active one, if any input requires a gradient."""
     tape = _active_tape()
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
+def _make(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
+    tape = _recording_tape(inputs)
     out = Tensor(out_data)
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if tape is not None:
         out.requires_grad = True
         out.record = _Record(tuple(_source(t, tape.key) for t in inputs), backward_fn, tape.key)
         tape.records.append(out.record)
@@ -267,13 +279,18 @@ def neg(a: Tensor) -> Tensor:
     return scale(a, -1.0)
 
 
+def _unpack_mask(bits: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return np.unpackbits(bits, count=int(np.prod(shape))).reshape(shape).view(bool)
+
+
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
+    out = a.data * mask
+    if _recording_tape((a,)) is None:  # nothing will read the mask
+        return Tensor(out)
     # the tape keeps the mask at one bit per element
-    bits, shape, size = np.packbits(mask), mask.shape, mask.size
-    return _make(
-        a.data * mask, (a,), lambda g: (g * np.unpackbits(bits, count=size).reshape(shape).view(bool),)
-    )
+    bits, shape = np.packbits(mask), mask.shape
+    return _make(out, (a,), lambda g: (g * _unpack_mask(bits, shape),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -412,7 +429,8 @@ def group_norm(
     """Per-group z-score of x [N,C,H,W], then per-channel scale and shift (arXiv:1803.08494).
 
     With ``relu``, a ReLU runs in place on the output, and forward and backward give the bytes of
-    ``relu(group_norm(...))`` in one record. The mask is kept at one bit per element, as relu keeps it.
+    ``relu(group_norm(...))`` in one record. A recorded call keeps the mask at one bit per element, as relu
+    does; an unrecorded one packs none.
     A recorded relu output carries a ``rebuild`` function that recomputes it from the arrays this record
     keeps anyway (normed, gamma, beta), so a conv2d reading it keeps that function instead of the
     activation (arXiv:1604.06174; in-place activated norm layers, arXiv:1712.02616)."""
@@ -427,29 +445,42 @@ def group_norm(
     gamma4, beta4 = gamma.data.reshape(1, c, 1, 1), beta.data.reshape(1, c, 1, 1)
     out = normed * gamma4
     out += beta4
+    recorded = _recording_tape((x, gamma, beta)) is not None
     bits = None
     if relu:
         mask = out > 0
         out *= mask  # relu's own product, in place
-        bits = np.packbits(mask)
+        if recorded:  # nothing reads the mask of an unrecorded call
+            bits = np.packbits(mask)
         del mask
 
-    group_shape = xg.shape
+    cg, m = c // groups, xg.shape[2]
     del xg  # a view of x: the tape must not keep x alive
 
     def bwd(g):
+        # at most two x-sized arrays at once: the masked g (then dx) and one product
         if bits is not None:
-            g = g * np.unpackbits(bits, count=n * c * h * w).reshape(n, c, h, w).view(bool)
-        # per group, dx = (gn - mean(gn) - x^ * mean(gn * x^)) / sd for gn = g * gamma and x^ = normed
-        gn = (g * gamma4).reshape(group_shape)
-        xhat = normed.reshape(group_shape)
-        dx = gn - gn.mean(axis=2, keepdims=True)
-        dx -= xhat * (gn * xhat).mean(axis=2, keepdims=True)
-        dx /= sd
-        return dx.reshape(n, c, h, w), (g * normed).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+            g = g * _unpack_mask(bits, (n, c, h, w))
+        gx = g * normed
+        dgamma, s2 = gx.sum(axis=(0, 2, 3)), gx.sum(axis=(2, 3))
+        del gx
+        dbeta, s1 = g.sum(axis=(0, 2, 3)), g.sum(axis=(2, 3))
+        # per group, dx = (g*gamma - mean(g*gamma) - x^ * mean(g*gamma*x^)) / sd, which per (n, c) is
+        # k1*g + k2*x^ + k3 with k1 = gamma/sd and, over the group's channels, k2 = -sum(k1*s2)/m and
+        # k3 = -sum(k1*s1)/m for s1 = sum_hw g and s2 = sum_hw g*x^; in a one-element group k3 = -k1*g
+        k1 = gamma4.reshape(1, groups, cg) / sd
+        k2 = (k1 * s2.reshape(n, groups, cg)).sum(axis=2, keepdims=True) / -m
+        k3 = (k1 * s1.reshape(n, groups, cg)).sum(axis=2, keepdims=True) / -m
+        k1, k2, k3 = (np.broadcast_to(k, (n, groups, cg)).reshape(n, c, 1, 1) for k in (k1, k2, k3))
+        # only the masked g is this closure's own: the incoming g may be the one array add's backward
+        # hands to both its inputs, so it is never written
+        dx = np.multiply(g, k1, out=g if bits is not None else None)
+        dx += normed * k2
+        dx += k3
+        return dx, dgamma, dbeta
 
     result = _make(out, (x, gamma, beta), bwd)
-    if relu and result.record is not None:
+    if relu and recorded:
 
         def rebuild():
             # the forward's own ops, so the bytes are the output's
@@ -493,33 +524,46 @@ def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
     return np.take(buf, _tap_map(h, w, kh, kw, ph, pw), axis=1).reshape(-1, kh * kw * c)
 
 
-def _chunks(src: np.ndarray, kh: int, kw: int, ph: int, pw: int):
-    """Yield (i, j, rows) for consecutive chunks src[i:j] of as many whole images as fit in _IM2COL_BYTES
-    of im2col matrix (at least one), in image order; rows is one image's im2col row count. The caller
-    gathers ``_im2col(src[i:j], kh, kw, ph, pw)`` inside one expression, so the matrix is freed before
-    the next chunk's gather (a yielded matrix would stay bound to the loop variable during it)."""
+def _chunks(src: np.ndarray, kh: int, kw: int, ph: int, pw: int, f: int):
+    """Yield (i, j, rows) for consecutive chunks src[i:j] of whole images, in image order; rows is one
+    image's im2col row count. A chunk's im2col matrix and its GEMM result with f columns fit in what
+    _IM2COL_BYTES leaves beside the [kh*kw*c, f] matrix they are multiplied by, but in no less than a
+    quarter of it: the 2.25 MiB kernel matrix of a 256-to-256 3x3 conv would otherwise leave room for one
+    image, whose GEMM has 16 rows at 4x4 and runs ~3x slower per image. A chunk is at least one image. f
+    is 0 for the kernel gradient, whose product is kernel-sized. The caller gathers
+    ``_im2col(src[i:j], kh, kw, ph, pw)`` inside one expression, so the matrix is freed before the next
+    chunk's gather (a yielded matrix would stay bound to the loop variable during it)."""
     n, h, w, c = src.shape
     rows = (h + 2 * ph - kh + 1) * (w + 2 * pw - kw + 1)
-    step = max(1, _IM2COL_BYTES // (rows * kh * kw * c * src.itemsize))
+    room = max(_IM2COL_BYTES - kh * kw * c * f * src.itemsize, _IM2COL_BYTES // 4)
+    step = max(1, room // (rows * (kh * kw * c + f) * src.itemsize))
     for i in range(0, n, step):
         yield i, min(i + step, n), rows
 
 
-def _correlate(src: np.ndarray, kh: int, kw: int, ph: int, pw: int, wmat: np.ndarray) -> np.ndarray:
+def _correlate(
+    src: np.ndarray, kh: int, kw: int, ph: int, pw: int, wmat: np.ndarray, bias: np.ndarray | None = None
+) -> np.ndarray:
     """Stride-1 cross-correlation of channels-last src [N,H,W,C], zero-padded by ph rows and pw columns
-    on each side, as ``_im2col(src, kh, kw, ph, pw) @ wmat`` for wmat [kh*kw*C, F]; returns [N,OH,OW,F].
-    The im2col matrix is gathered in _chunks, each multiplied into its rows of one preallocated result
-    (Caffe's column buffer, arXiv:1408.5093). A GEMM row's sums do not depend on the other rows, so the
+    on each side, as ``_im2col(src, kh, kw, ph, pw) @ wmat (+ bias)`` for wmat [kh*kw*C, F]; returns NCHW
+    [N,F,OH,OW]. The im2col matrix is gathered in _chunks; each chunk's GEMM result, plus the bias, is
+    written straight into its images of the NCHW output (Caffe's column buffer, arXiv:1408.5093), so no
+    whole-batch GEMM result is ever held. A GEMM row's sums do not depend on the other rows, so the
     bytes are those of one whole-batch GEMM; the one exception is a piece small enough (a few hundred
     rows by a few columns) for OpenBLAS's small-matrix kernel, which no encoder conv splits into. The
-    kernel gradient gathers in the same chunks but sums over rows, so its chunk GEMMs are added in chunk
-    order and its bytes are one whole-batch GEMM's only where the batch is one chunk."""
+    kernel gradient gathers in chunks too but sums over rows, so its chunk GEMMs are added in chunk order
+    and its bytes are one whole-batch GEMM's only where the batch is one chunk."""
     n, h, w, _ = src.shape
     ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    out = np.empty((n * ho * wo, wmat.shape[1]), dtype=np.result_type(src.dtype, wmat.dtype))
-    for i, j, rows in _chunks(src, kh, kw, ph, pw):
-        np.matmul(_im2col(src[i:j], kh, kw, ph, pw), wmat, out=out[i * rows : j * rows])
-    return out.reshape(n, ho, wo, -1)
+    f = wmat.shape[1]
+    out = np.empty((n, f, ho, wo), dtype=np.result_type(src.dtype, wmat.dtype))
+    for i, j, _ in _chunks(src, kh, kw, ph, pw, f):
+        part = _im2col(src[i:j], kh, kw, ph, pw) @ wmat
+        if bias is not None:
+            part += bias
+        out[i:j] = part.reshape(j - i, ho, wo, f).transpose(0, 3, 1, 2)
+        del part  # freed before the next chunk's product, not when that product is bound
+    return out
 
 
 def conv2d(
@@ -551,21 +595,19 @@ def conv2d(
     x_kept = x.data if rebuild is None else None
 
     # _im2col works channels-last, the layout a view tensor's memory already has
+    wmat = kdata.transpose(0, 2, 3, 1).reshape(f, -1).T
     out = _correlate(
-        x.data.transpose(0, 2, 3, 1), kh, kw, padding, padding, kdata.transpose(0, 2, 3, 1).reshape(f, -1).T
+        x.data.transpose(0, 2, 3, 1), kh, kw, padding, padding, wmat, bias.data if has_bias else None
     )
-    if has_bias:
-        out += bias.data
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
     def bwd(g):
         # g: (n,f,ho,wo)
         g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # one copy serves dk and dx
         # the tape keeps x, not its im2col matrix (kh*kw times the size of x): the kernel gradient
-        # gathers it again in the forward's chunks and sums their products in chunk order (arXiv:1604.06174)
+        # gathers it again, in chunks, and sums their products in chunk order (arXiv:1604.06174)
         x_nhwc = (x_kept if rebuild is None else rebuild()).transpose(0, 2, 3, 1)
         gmat = g_nhwc.reshape(-1, f)
-        for i, j, rows in _chunks(x_nhwc, kh, kw, padding, padding):
+        for i, j, rows in _chunks(x_nhwc, kh, kw, padding, padding, 0):
             part = gmat[i * rows : j * rows].T @ _im2col(x_nhwc[i:j], kh, kw, padding, padding)
             if i:
                 dk += part
@@ -579,7 +621,7 @@ def conv2d(
             # kernel (arXiv:1603.07285): the forward's lowering run on g
             kflip = kdata[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, -1)
             dx = _correlate(g_nhwc, kh, kw, kh - 1 - padding, kw - 1 - padding, kflip.T)
-            dx = dx.transpose(0, 3, 1, 2).astype(x_dtype, copy=False)
+            dx = dx.astype(x_dtype, copy=False)
         grads = (dx, dk.astype(kdata.dtype, copy=False))
         return grads + (g.sum(axis=(0, 2, 3)),) if has_bias else grads
 

@@ -152,10 +152,12 @@ class RunConfig:
         losses.LossConfig(self.tau, self.fusion)  # rejects a bad tau or fusion by name
         if not 0.0 <= self.blur_probability <= 1.0:
             raise ValidationError(f"blur_probability {self.blur_probability} outside [0,1]")
-        for key in ("weight_decay", "sgd_momentum", "warmup_start"):
+        for key in ("weight_decay", "warmup_start"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(f"{key} must be finite and >= 0, got {value}")
+        if not 0.0 <= self.sgd_momentum < 1.0:  # at 1 or more the velocity v <- mu*v + g grows without bound
+            raise ValidationError(f"sgd_momentum {self.sgd_momentum} outside [0,1)")
         scale = self.crop_scale
         if not (isinstance(scale, (tuple, list)) and len(scale) == 2 and 0 < scale[0] <= scale[1] <= 1):
             raise ValidationError(f"crop_scale must be lo:hi with 0 < lo <= hi <= 1, got {scale}")

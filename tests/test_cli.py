@@ -211,6 +211,8 @@ class TestPretrain:
             ["--fusion", "bogus"],
             ["--blur_probability", "2"],
             ["--view_size", "30"],
+            ["--sgd_momentum", "1"],
+            ["--sgd_momentum", "5"],
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, flags):

@@ -249,7 +249,7 @@ class TestGradcheck:
         """At a budget of one image's im2col matrix the kernel gradient sums three chunk GEMMs."""
         x, k = _shapes([(3, 2, 5, 5), (3, 2, 3, 3)])
         monkeypatch.setattr(T, "_IM2COL_BYTES", 5 * 5 * 3 * 3 * 2 * 8)
-        assert _chunked_dk(x, np.ones((3, 3, 5, 5)), 3, 3, 1)[1] == 3
+        assert _chunked_dk(x, np.ones((3, 3, 5, 5)), 3, 3, 1)[1] == [1, 1, 1]
         check_gradients(lambda a, b: T.sum_(T.mul(c := T.conv2d(a, b, 1, 1), c)), [x, k])
 
     def test_add_sub_mul_div(self):
@@ -548,6 +548,61 @@ def test_group_norm_relu_rebuild_only_when_recorded():
     assert sum(a.nbytes for a in kept.values()) <= x.nbytes + 3 * 8 * 4 + gamma.nbytes + -(-x.size // 8)
 
 
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _ENCODER_NORMS)
+def test_group_norm_backward_memory_is_bounded(dtype, shape, relu):
+    """Beyond g and the arrays its record keeps, group_norm's backward holds at most two x-sized arrays at
+    once (the masked g or dx, and one product), a few per-(n, c) coefficient arrays and numpy's buffers for
+    its strided reductions: no group-sized temporaries."""
+    rng = np.random.default_rng(25)
+    n, c = shape[:2]
+    arrays = [rng.normal(size=s).astype(dtype) for s in (shape, (c,), (c,), shape)]
+    x, gamma, beta = (T.Tensor(a, requires_grad=True) for a in arrays[:3])
+    g, g_before = arrays[3], arrays[3].copy()
+    with T.Tape() as tape:
+        T.group_norm(x, gamma, beta, 8, 1e-5, relu=relu)
+    backward_fn = tape.records[-1].backward_fn
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [a.shape for a in grads] == [shape, (c,), (c,)]
+    np.testing.assert_array_equal(g, g_before)  # add's backward hands one g to both its inputs
+    assert peak <= 2 * x.data.nbytes + (8 * n * c + 2 * np.getbufsize()) * x.data.itemsize
+
+
+def test_unrecorded_relu_packs_no_mask(monkeypatch):
+    """relu and group_norm(..., relu=True) pack their mask only when recorded. An unrecorded call (no tape,
+    under no_grad, or on inputs that need no gradient) gives the recorded call's bytes and packs nothing."""
+    rng = np.random.default_rng(26)
+    arrays = [rng.normal(size=s).astype(np.float32) for s in ((3, 16, 5, 5), (16,), (16,))]
+    packs = []
+    packbits = np.packbits
+    monkeypatch.setattr(np, "packbits", lambda *a, **kw: packs.append(a[0].shape) or packbits(*a, **kw))
+    for op in (
+        lambda x, gamma, beta: T.relu(x),
+        lambda x, gamma, beta: T.group_norm(x, gamma, beta, 8, 1e-5, relu=True),
+    ):
+        leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+        with T.Tape():
+            want = op(*leaves).data
+        assert packs == [arrays[0].shape]
+        packs.clear()
+        got = [op(*leaves).data]
+        with T.Tape():
+            with T.no_grad():
+                got.append(op(*leaves).data)
+            got.append(op(*[T.Tensor(a) for a in arrays]).data)
+        assert not packs
+        for out in got:
+            np.testing.assert_array_equal(out, want)
+
+
 def test_group_norm_needs_whole_groups():
     x = t(np.zeros((1, 6, 2, 2)))
     with pytest.raises(DimensionError, match="6 channels"):
@@ -688,7 +743,7 @@ def _keep_cols_conv2d(x, kernel, stride, padding, *, bias):
 
 
 def _chunked_dk(x, g, kh, kw, pad):
-    """The kernel gradient as conv2d sums it, and its chunk count: one GEMM per chunk of as many whole
+    """The kernel gradient as conv2d sums it, and its chunk sizes: one GEMM per chunk of as many whole
     images as fit in T._IM2COL_BYTES of im2col (at least one), added in image order. Where the batch is
     one chunk this is the whole-batch GEMM of _keep_cols_conv2d."""
     x_nhwc = x.transpose(0, 2, 3, 1)
@@ -703,7 +758,7 @@ def _chunked_dk(x, g, kh, kw, pad):
     dk = parts[0]
     for part in parts[1:]:
         dk = dk + part
-    return dk.reshape(f, kh, kw, c).transpose(0, 3, 1, 2), len(parts)
+    return dk.reshape(f, kh, kw, c).transpose(0, 3, 1, 2), [min(step, n - i) for i in range(0, n, step)]
 
 
 def _check_dk(got, x, g, k_shape, pad, whole):
@@ -711,7 +766,7 @@ def _check_dk(got, x, g, k_shape, pad, whole):
     chunk; within _DX_RTOL of `whole` wherever it splits."""
     chunked, pieces = _chunked_dk(x, g, k_shape[2], k_shape[3], pad)
     np.testing.assert_array_equal(got, chunked)
-    if pieces == 1:
+    if len(pieces) == 1:
         np.testing.assert_array_equal(got, whole)
     assert np.abs(got - whole).max() <= _DX_RTOL[got.dtype.type] * np.abs(whole).max()
 
@@ -882,8 +937,9 @@ def test_conv2d_chunked_equals_single_chunk(monkeypatch, dtype, x_shape, k_shape
     is the chunk-ordered sum of _check_dk, within _DX_RTOL of the single-chunk one.
 
     Under one budget the forward's gather splits, under the other the input gradient's, each into at
-    least 3 chunks with a shorter last one (for n <= 4 there are n chunks of one image). The kernel
-    gradient gathers in the forward's chunks.
+    least 3 chunks with a shorter last one (for n <= 4 there are n chunks of one image). Each budget is
+    the kernel matrix that gather's GEMM multiplies by, plus `step` images of im2col rows and GEMM result
+    rows. The kernel gradient's product is kernel-sized, so its gather counts only its im2col rows.
 
     One exception: the dx GEMM of the (4, 3, 9, 9) case with a 3x3 kernel has 3 columns and 45-term
     sums, and OpenBLAS's small-matrix path rounds an 81-row product of that shape in another order than
@@ -901,13 +957,16 @@ def test_conv2d_chunked_equals_single_chunk(monkeypatch, dtype, x_shape, k_shape
     assert len(chunks) >= 3 and (n % step or n <= 4)
     calls = _spy_im2col(monkeypatch)
     itemsize = np.dtype(dtype).itemsize
-    # forward: (ho*wo, kh*kw*c) per image; input gradient: (h*w, kh*kw*f) per image
-    for which, image_bytes in ((0, ho * wo * kh * kw * c * itemsize), (2, h * w * kh * kw * f * itemsize)):
-        monkeypatch.setattr(T, "_IM2COL_BYTES", step * image_bytes)
+    kernel_bytes = kh * kw * c * f * itemsize
+    # forward: (ho*wo) rows of kh*kw*c im2col and f result columns per image; input gradient: (h*w) rows
+    # of kh*kw*f and c
+    for which, image_bytes in ((0, ho * wo * (kh * kw * c + f)), (2, h * w * (kh * kw * f + c))):
+        monkeypatch.setattr(T, "_IM2COL_BYTES", kernel_bytes + step * image_bytes * itemsize)
         calls.clear()
         results = _conv2d_results(*inputs, stride, pad)
         gathers = _gathers(calls, n)  # forward, kernel gradient, input gradient
-        assert len(gathers) == 3 and gathers[1] == gathers[0] and gathers[which] == chunks
+        assert len(gathers) == 3 and gathers[which] == chunks
+        assert gathers[1] == _chunked_dk(inputs[0], inputs[3], kh, kw, pad)[1]
         for i, (got, single) in enumerate(zip(results, want)):
             assert got.dtype == dtype
             if i == 1 and k_shape == (5, 3, 3, 3):
@@ -1205,6 +1264,33 @@ def test_tape_holds_no_gn_relu_conv_input(monkeypatch, arch, size, fed):
     _encoder_pass(arch, size)
     assert len(inputs) == fed
     assert not [rec for rec, xd in inputs if any(np.may_share_memory(a, xd) for a in _reachable_arrays([rec]))]
+
+
+def test_training_step_backward_memory_is_bounded(monkeypatch, tmp_path):
+    """One seed-0 amimv step of tiny at 28 px, batch 64: backward's high-water stays within 6 MiB of what is
+    live when it starts (the tape, the parameters, the batch). Gathering a conv's input gradient in 8 MiB
+    chunks and the group-sized temporaries of the old group-norm backward put it 9.7 MiB above."""
+    from amimv import trainer as TR
+
+    peaks = []
+    replay = T.backward
+
+    def spy(loss, tape):
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        replay(loss, tape)
+        peaks.append(tracemalloc.get_traced_memory()[1] - live)
+
+    monkeypatch.setattr(T, "backward", spy)
+    spec = "synthetic:C=2,counts=60:40,size=28"  # 70 training images: one step at batch 64
+    config = TR.RunConfig(dataset=spec, out_dir=str(tmp_path / "run"), epochs=1, batch_size=64, seed=0)
+    tracemalloc.start()
+    try:
+        TR.pretrain(config)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1
+    assert peaks[0] <= 6 << 20
 
 
 def _param_array_ids(params):
