@@ -438,12 +438,14 @@ def group_norm(
     if c % groups:
         raise DimensionError(f"group_norm: {c} channels do not split into {groups} groups")
     xg = x.data.reshape(n, groups, (c // groups) * h * w)
-    # x^ and y overwrite their first temporaries, two fewer group-sized arrays in a batch-256 eval pass
+    # x^ overwrites its first temporary and y the squares, so the forward allocates two group-sized arrays:
+    # fewer in a batch-256 eval pass, and fewer pages faulted in again after the allocator trims its heap
     normed = xg - xg.mean(axis=2, keepdims=True)
-    sd = np.sqrt((normed * normed).mean(axis=2, keepdims=True) + float(eps))
+    out = normed * normed
+    sd = np.sqrt(out.mean(axis=2, keepdims=True) + float(eps))
     normed = np.divide(normed, sd, out=normed).reshape(x.shape)
     gamma4, beta4 = gamma.data.reshape(1, c, 1, 1), beta.data.reshape(1, c, 1, 1)
-    out = normed * gamma4
+    out = np.multiply(normed, gamma4, out=out.reshape(x.shape))
     out += beta4
     recorded = _recording_tape((x, gamma, beta)) is not None
     bits = None
