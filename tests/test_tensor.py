@@ -1268,8 +1268,8 @@ def test_tape_holds_no_gn_relu_conv_input(monkeypatch, arch, size, fed):
 
 def test_training_step_backward_memory_is_bounded(monkeypatch, tmp_path):
     """One seed-0 amimv step of tiny at 28 px, batch 64: backward's high-water stays within 6 MiB of what is
-    live when it starts (the tape, the parameters, the batch). Gathering a conv's input gradient in 8 MiB
-    chunks and the group-sized temporaries of the old group-norm backward put it 9.7 MiB above."""
+    live when it starts (the tape, the parameters, the batch). 8 MiB im2col chunks and a group-norm
+    backward with group-sized temporaries put it 9.7 MiB above."""
     from amimv import trainer as TR
 
     peaks = []
