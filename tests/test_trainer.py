@@ -189,6 +189,10 @@ class TestPretrain:
         result = TR.pretrain(tiny_run_config(tmp_path, mode="simclr_baseline", epochs=1))
         assert len(result.epoch_losses) == 1
         assert math.isfinite(result.epoch_losses[0])
+        # the baseline has no key views, so it never EMA-updates k
+        init = M.init_pair(result.pair.config, seed=0)
+        for n, t in result.pair.k_params.items():
+            assert t.data.tobytes() == init.k_params[n].data.tobytes()
 
     def test_snapshot_epochs(self, tmp_path):
         TR.pretrain(tiny_run_config(tmp_path, snapshot_epochs=[1]))
@@ -213,6 +217,12 @@ _GOLDEN_CHECKPOINTS = {
     # weights; _GOLDEN_VISIBLE_STEP pins the same step at a rate where it does
     "small_residual": "1559e76f22d3729c494f984fce20ffa2be9247d014c02dc8666db4c5042a2970"
     "401c25a3bbf62178a05306a595afa73f0990de18b602ed9d3b30c25fb5cd4887",
+    # 2 steps at batch 16: two augmentations and nt_xent; k stays at its init copy
+    "simclr_baseline": "508b7e8834fe4a687592291240aadfde928eb3d43842bae78da34fe0fafe3d63"
+    "c94cd00e04463b09d71770badc7167d5e0dd586c03f0c7e4661bc3b16450237e",
+    # 2 steps at batch 16, the EMA update after the optimizer step
+    "ema_after": "2b2fedb993d50c29b05c3f4c530e824b477e08c8e86d37641b7901ad0c08bd31"
+    "f4b6a3ccecb136d555b7f6f7572f2e4cf9cee093ceae7fe988159208e7a3509a",
 }
 
 
@@ -223,6 +233,10 @@ _GOLDEN_MANIFESTS = {
     "ed98cd28d8f26df2471205c94bb3105f12a96540c05c11d1b5385e8751641102",
     "small_residual": "1868aa555083c7cb9a675ce67dd65fcee1ba34b14ae4a81251df2f870aee39d2"
     "48c3bf521a7d18acfc94116945e08f07f0cbe3ea7abf6a6a32b4615e5d5650b0",
+    "simclr_baseline": "428c7640582c2900759e044a32c6ea23294e859d641d7861167cf703d7e77e10"
+    "5a5f535094d8558f332450a3cba5a118da1719dad329edefc3d776c4e19098dc",
+    "ema_after": "6e53489a6dfe5acbe76b54d2839566aad6adf1a82dc11d063686f722073407c6"
+    "361a5d602e6d27e7189793c0226604f5b5dc5ddca2830f026b16ec052331c833",
 }
 
 
@@ -244,10 +258,22 @@ def _golden_digests(tmp_path, steps, **kw):
     )
 
 
-@pytest.mark.parametrize("arch,batch_size,steps", [("tiny", 16, 2), ("small_residual", 32, 1)])
-def test_golden_checkpoint_digest(tmp_path, arch, batch_size, steps):
-    digests = _golden_digests(tmp_path, steps, batch_size=batch_size, arch=arch)
-    assert digests == (_GOLDEN_CHECKPOINTS[arch], _GOLDEN_MANIFESTS[arch])
+# the settings of each golden run beside its batch size: tiny amimv with EMA "before" is the default
+_GOLDEN_RUNS = {
+    "tiny": {},
+    "small_residual": {"arch": "small_residual"},
+    "simclr_baseline": {"mode": "simclr_baseline"},
+    "ema_after": {"ema_placement": "after"},
+}
+
+
+@pytest.mark.parametrize(
+    "run,batch_size,steps",
+    [("tiny", 16, 2), ("small_residual", 32, 1), ("simclr_baseline", 16, 2), ("ema_after", 16, 2)],
+)
+def test_golden_checkpoint_digest(tmp_path, run, batch_size, steps):
+    digests = _golden_digests(tmp_path, steps, batch_size=batch_size, **_GOLDEN_RUNS[run])
+    assert digests == (_GOLDEN_CHECKPOINTS[run], _GOLDEN_MANIFESTS[run])
 
 
 def test_golden_checkpoint_digest_at_a_visible_rate(tmp_path):
