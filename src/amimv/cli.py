@@ -148,6 +148,7 @@ def cmd_pretrain(args: argparse.Namespace) -> None:
         if "seed" not in data and "seed" not in overrides:
             overrides["seed"] = str(_env_seed(None))
         config = TR.config_from_dict(data, overrides)
+        _check_out(config.out_dir)
         result = TR.pretrain(config)
     print(f"pretrained {config.epochs} epochs; final loss {result.epoch_losses[-1]:.4f}")
     print(f"artifacts in {config.out_dir}")

@@ -1,11 +1,13 @@
 """SGD with momentum, learning-rate schedules, and the pretraining loop.
 
-The loop follows the momentum-pair recipe: encode the normalized anchor
-and augmented counterpart views with the query encoder, EMA-update the
-key encoder and encode the remaining two views under no-grad, take the
-fused contrastive loss, backpropagate, and step SGD under a
-warmup-then-cosine schedule. A single-image two-augmentation baseline
-mode reuses the same machinery with the plain contrastive loss.
+Every training step runs one path; the mode picks only the query views,
+the key views and the objective. AMIMV encodes the normalized anchor and
+augmented counterpart views with the query encoder, EMA-updates the key
+encoder and encodes the other two views under no-grad, and takes the
+fused contrastive loss. The single-image two-augmentation baseline
+encodes its two views with the query encoder, has no key views (so no
+EMA), and takes the plain contrastive loss. Both then backpropagate and
+step SGD under a warmup-then-cosine schedule.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -145,14 +148,12 @@ class RunConfig:
             raise ValidationError(f"ema_momentum {self.ema_momentum} outside [0,1]")
         if not 0 <= self.seed < 2**63:  # the CLI's seed range; the draws hash the seed mod 2**64
             raise ValidationError(f"seed must be >= 0 and < 2**63, got {self.seed}")
-        if not self.base_lr >= 0.0:
-            raise ValidationError(f"base_lr must be >= 0 (0: batch-scaled), got {self.base_lr}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValidationError(f"warmup_fraction {self.warmup_fraction} outside [0,1]")
         losses.LossConfig(self.tau, self.fusion)  # rejects a bad tau or fusion by name
         if not 0.0 <= self.blur_probability <= 1.0:
             raise ValidationError(f"blur_probability {self.blur_probability} outside [0,1]")
-        for key in ("weight_decay", "warmup_start"):
+        for key in ("base_lr", "weight_decay", "warmup_start"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(f"{key} must be finite and >= 0, got {value}")
@@ -288,6 +289,7 @@ def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainRes
     loss_cfg = losses.LossConfig(tau=config.tau, fusion=config.fusion)
     opt = OptimState(momentum=config.sgd_momentum, weight_decay=config.weight_decay)
     stream = RngStream(config.seed)
+    stats = dataset.channel_stats
     images, _ = dataset.splits["train"]
     steps_per_epoch = images.shape[0] // config.batch_size
     if steps_per_epoch == 0:
@@ -307,75 +309,53 @@ def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainRes
         json.dumps(asdict(config) | {"view_size": view_size}, indent=2),
     )
 
+    # the mode picks the query views, the key views and the objective; the step below is one path
+    if config.mode == "amimv":
+        objective = partial(losses.amimv_loss, config=loss_cfg)
+    else:
+        objective = partial(losses.nt_xent, tau=loss_cfg.tau)
+
     log_rows: list[tuple[int, float, float]] = []
-    epoch_losses: list[float] = []
-    step = 0
     for epoch in range(1, config.epochs + 1):
         # batch -2 keeps the shuffle keys apart from the view keys (batch >= 0)
         order = stream.permutation(images.shape[0], epoch, -2, 0)
         batch_losses = []
         lr = 0.0
         for batch_index, idx in enumerate(_epoch_batches(order, config.batch_size)):
-            lr = lr_at(step, schedule)
-            loss_value = _train_step(
-                config, pair, loss_cfg, aug_cfg, stream, dataset.channel_stats,
-                images[idx], epoch, batch_index, opt, lr,
-            )
+            lr = lr_at(pair.step, schedule)
+            batch_images = images[idx]
+            if config.mode == "amimv":
+                batch = build_amimv_batch(batch_images, stats, aug_cfg, stream, epoch, batch_index)
+                queries, keys = (batch.v1n, batch.v2a), (batch.v1a, batch.v2n)
+            else:
+                n = batch_images.shape[0]
+                queries = tuple(
+                    augment_view(batch_images, stats, aug_cfg, stream.items(n, epoch, batch_index, branch))
+                    for branch in (1, 2)
+                )
+                keys = ()
+            with T.Tape() as tape:
+                zq = [M.encode(pair.q_params, v, pair.config)[1] for v in queries]
+                with T.no_grad():
+                    if keys and config.ema_placement == "before":
+                        M.ema_update(pair)
+                    zk = [M.encode(pair.k_params, v, pair.config)[1] for v in keys]
+                loss = objective(*zq, *zk)
+            T.backward(loss, tape)
+            sgd_step(pair.q_params, opt, lr)
+            if keys and config.ema_placement == "after":
+                M.ema_update(pair)
+            loss_value = loss.item()
             if not math.isfinite(loss_value):
                 raise NumericError(
-                    f"non-finite loss {loss_value} at epoch {epoch}, step {step}"
+                    f"non-finite loss {loss_value} at epoch {epoch}, step {pair.step}"
                 )
             batch_losses.append(loss_value)
-            step += 1
-        mean_loss = float(np.mean(batch_losses))
-        epoch_losses.append(mean_loss)
-        log_rows.append((epoch, mean_loss, lr))
+            pair.step += 1
+        log_rows.append((epoch, float(np.mean(batch_losses)), lr))
         if epoch in config.snapshot_epochs:
-            pair.step = step
             M.save_checkpoint(pair, os.path.join(config.out_dir, f"epoch_{epoch}"))
 
-    pair.step = step
     M.save_checkpoint(pair, config.out_dir)
     _write_log(config.out_dir, log_rows)
-    return TrainResult(out_dir=config.out_dir, epoch_losses=epoch_losses, pair=pair)
-
-
-def _train_step(
-    config: RunConfig,
-    pair: M.EncoderPair,
-    loss_cfg: losses.LossConfig,
-    aug_cfg: AugmentConfig,
-    stream: RngStream,
-    stats: tuple,
-    batch_images: np.ndarray,
-    epoch: int,
-    batch_index: int,
-    opt: OptimState,
-    lr: float,
-) -> float:
-    if config.mode == "amimv":
-        batch = build_amimv_batch(batch_images, stats, aug_cfg, stream, epoch, batch_index)
-        with T.Tape() as tape:
-            _, z1n = M.encode(pair.q_params, batch.v1n, pair.config)
-            _, z2a = M.encode(pair.q_params, batch.v2a, pair.config)
-            with T.no_grad():
-                if config.ema_placement == "before":
-                    M.ema_update(pair)
-                _, z1a = M.encode(pair.k_params, batch.v1a, pair.config)
-                _, z2n = M.encode(pair.k_params, batch.v2n, pair.config)
-            loss = losses.amimv_loss(z1n, z2a, z1a, z2n, loss_cfg)
-        T.backward(loss, tape)
-        sgd_step(pair.q_params, opt, lr)
-        if config.ema_placement == "after":
-            M.ema_update(pair)
-    else:
-        n = batch_images.shape[0]
-        va = augment_view(batch_images, stats, aug_cfg, stream.items(n, epoch, batch_index, 1))
-        vb = augment_view(batch_images, stats, aug_cfg, stream.items(n, epoch, batch_index, 2))
-        with T.Tape() as tape:
-            _, za = M.encode(pair.q_params, va, pair.config)
-            _, zb = M.encode(pair.q_params, vb, pair.config)
-            loss = losses.nt_xent(za, zb, loss_cfg.tau)
-        T.backward(loss, tape)
-        sgd_step(pair.q_params, opt, lr)
-    return loss.item()
+    return TrainResult(out_dir=config.out_dir, epoch_losses=[row[1] for row in log_rows], pair=pair)

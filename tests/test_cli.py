@@ -213,6 +213,7 @@ class TestPretrain:
             ["--view_size", "30"],
             ["--sgd_momentum", "1"],
             ["--sgd_momentum", "5"],
+            ["--base_lr", "inf"],
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, flags):
@@ -558,7 +559,7 @@ class TestBoundary:
         assert capsys.readouterr().err.count("\n") == 1
         assert out.read_text() == "keep" and os.listdir(tmp_path) == ["taken"]
 
-    @pytest.mark.parametrize("command", ["analyze", "probe", "report"])
+    @pytest.mark.parametrize("command", ["analyze", "pretrain", "probe", "report"])
     def test_out_checked_before_compute(self, charts_dir, tmp_path, capsys, monkeypatch, command):
         from amimv import cli
 
@@ -569,10 +570,13 @@ class TestBoundary:
             monkeypatch.setattr(cli, name, no_compute)
         for name in ("extract_features", "linear_probe", "pca_project"):
             monkeypatch.setattr(cli.E, name, no_compute)
+        monkeypatch.setattr(cli.TR, "resolve_dataset", no_compute)
         out = tmp_path / "taken"
         out.write_text("keep")
         # probe at its default --epochs
-        args = [SMALL_SYNTH] if command == "analyze" else [str(charts_dir), SMALL_SYNTH]
+        args = {"analyze": [SMALL_SYNTH], "pretrain": ["--dataset", SMALL_SYNTH]}.get(
+            command, [str(charts_dir), SMALL_SYNTH]
+        )
         for target in (out, out / "sub"):
             assert main([command, *args, "--out", str(target)]) == 2
             err = capsys.readouterr().err
