@@ -162,9 +162,9 @@ def linear_probe(
     missing = sorted(set(range(c)) - set(int(x) for x in np.unique(train_labels)))
     x = train_features.astype(np.float32)
 
-    w = np.zeros((d, c), dtype=np.float32)
-    b = np.zeros(c, dtype=np.float32)
-    w_m, w_v, b_m, b_v = (np.zeros_like(a) for a in (w, w, b, b))  # AdamW's first and second moments
+    # w's d rows, then b, in one array: its gradient, AdamW's first and second moments and one step cover both
+    wb = np.zeros((d + 1, c), dtype=np.float32)
+    grad, wb_m, wb_v = (np.zeros_like(wb) for _ in range(3))
     onehot_all = np.eye(c, dtype=np.float32)[train_labels]
     t = 0
     rng = np.random.default_rng(np.random.PCG64(config.seed))
@@ -178,23 +178,25 @@ def linear_probe(
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 xb = x[idx]
-                logits = xb @ w + b
+                logits = xb @ wb[:d] + wb[d]
                 shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
                 # (softmax - onehot) / B, rounded as the tape's backward of mean(lse - <logits, onehot>)
                 inv = np.float32(1) / np.float32(len(idx))
                 dl = (-inv) * onehot_all[idx]
                 dl += inv * (shifted / shifted.sum(axis=-1, keepdims=True))
                 t += 1
-                w = _adamw_step(w, xb.T @ dl, w_m, w_v, t, lr, config.weight_decay)
-                b = _adamw_step(b, dl.sum(axis=0), b_m, b_v, t, lr, config.weight_decay)
+                # AdamW is elementwise, so one step over [w; b] gives the bytes of one step on each
+                np.matmul(xb.T, dl, out=grad[:d])
+                np.sum(dl, axis=0, out=grad[d])
+                wb = _adamw_step(wb, grad, wb_m, wb_v, t, lr, config.weight_decay)
         # inf and nan absorb every later AdamW update, so once an epoch has made a value non-finite it stays so
-        if not all(np.isfinite(a).all() for a in (w, b, w_m, w_v, b_m, b_v)):
+        if not all(np.isfinite(a).all() for a in (wb, wb_m, wb_v)):
             raise NumericError(
                 f"the linear probe's weights or AdamW moments are not finite after epoch {epoch + 1}"
                 " (features too large for float32 gradients)"
             )
 
-    return ProbeResult(weights=w.astype(np.float64), bias=b.astype(np.float64), missing_classes=missing)
+    return ProbeResult(wb[:d].astype(np.float64), wb[d].astype(np.float64), missing)
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,16 @@ one helper on x and on g. Every im2col gather, the kernel gradient's too,
 takes a chunk of whole images at a time (Caffe's column buffer,
 arXiv:1408.5093): as many as fit in _IM2COL_BYTES (2 MiB) together with
 their GEMM result and the kernel matrix it multiplies, or one image. The
-forward (adding the bias) and the input gradient write each chunk's product
-straight into its images of their NCHW result, so no whole-batch GEMM
-result is held. The tape keeps a conv's input, not its im2col matrix (kh*kw
-times larger); the kernel gradient gathers the matrix again from the input
-in chunks sized by the matrix alone, its product being kernel-sized, and
-sums their GEMMs in chunk order, so at most one chunk's matrix is alive
-(arXiv:1604.06174).
+forward and the input gradient write each chunk's product straight into its
+images of their NCHW result, so no whole-batch GEMM result is held; the
+forward then adds the bias to that result once. The tape keeps a conv's
+input, not its im2col matrix (kh*kw times larger); the kernel gradient
+gathers the matrix again from the input in chunks sized by the matrix
+alone, its product being kernel-sized, and sums their GEMMs in chunk order,
+so at most one chunk's matrix is alive (arXiv:1604.06174).
+Group norm's forward takes its variance from at most 256 KiB of squares at
+a time, and an unrecorded call (the key passes, feature extraction) writes
+its output over x^: it holds one x-sized array, with a recorded call's bytes.
 Group norm's input gradient is its closed form in per-(n, c) coefficients,
 dx = k1*g + k2*x^ + k3, from the sums over H, W of g and of g*x^: it holds
 at most two x-sized arrays at once and writes only into a masked g of its own.
@@ -69,6 +72,8 @@ from .errors import ContractError, DimensionError
 FLOAT_DTYPES = (np.float32, np.float64)
 # the most bytes of im2col matrix, and of its GEMM result, conv2d holds at once
 _IM2COL_BYTES = 2 << 20
+# the most bytes of squares group_norm's forward holds at once
+_GN_SQUARES_BYTES = 256 << 10
 # the most im2col tap maps kept; a training step uses one per padded conv input size, four at most
 _TAP_MAPS = 32
 
@@ -433,21 +438,27 @@ def group_norm(
     does; an unrecorded one packs none.
     A recorded relu output carries a ``rebuild`` function that recomputes it from the arrays this record
     keeps anyway (normed, gamma, beta), so a conv2d reading it keeps that function instead of the
-    activation (arXiv:1604.06174; in-place activated norm layers, arXiv:1712.02616)."""
+    activation (arXiv:1604.06174; in-place activated norm layers, arXiv:1712.02616).
+    An unrecorded call writes its output, and the ReLU, over x^, so it holds one x-sized array; a recorded
+    one keeps x^ and allocates its output. The ops, their order and the bytes are the same either way."""
     n, c, h, w = x.shape
     if c % groups:
         raise DimensionError(f"group_norm: {c} channels do not split into {groups} groups")
     xg = x.data.reshape(n, groups, (c // groups) * h * w)
-    # x^ overwrites its first temporary and y the squares, so the forward allocates two group-sized arrays:
-    # fewer in a batch-256 eval pass, and fewer pages faulted in again after the allocator trims its heap
     normed = xg - xg.mean(axis=2, keepdims=True)
-    out = normed * normed
-    sd = np.sqrt(out.mean(axis=2, keepdims=True) + float(eps))
+    # the variance from the squares of a few groups at a time: a row's pairwise mean does not depend on how
+    # many rows come with it, so the bytes are those of one x-sized squares array
+    rows, var = normed.reshape(n * groups, -1), np.empty((n * groups, 1), dtype=normed.dtype)
+    step = max(1, _GN_SQUARES_BYTES // rows[0].nbytes)
+    for i in range(0, n * groups, step):
+        np.mean(np.square(rows[i : i + step]), axis=1, keepdims=True, out=var[i : i + step])
+    sd = np.sqrt(var.reshape(n, groups, 1) + float(eps))
     normed = np.divide(normed, sd, out=normed).reshape(x.shape)
     gamma4, beta4 = gamma.data.reshape(1, c, 1, 1), beta.data.reshape(1, c, 1, 1)
-    out = np.multiply(normed, gamma4, out=out.reshape(x.shape))
-    out += beta4
     recorded = _recording_tape((x, gamma, beta)) is not None
+    # nothing reads x^ after an unrecorded call, so y overwrites it there: one x-sized array, not two
+    out = np.multiply(normed, gamma4, out=np.empty_like(normed) if recorded else normed)
+    out += beta4
     bits = None
     if relu:
         mask = out > 0
@@ -548,23 +559,23 @@ def _correlate(
 ) -> np.ndarray:
     """Stride-1 cross-correlation of channels-last src [N,H,W,C], zero-padded by ph rows and pw columns
     on each side, as ``_im2col(src, kh, kw, ph, pw) @ wmat (+ bias)`` for wmat [kh*kw*C, F]; returns NCHW
-    [N,F,OH,OW]. The im2col matrix is gathered in _chunks; each chunk's GEMM result, plus the bias, is
-    written straight into its images of the NCHW output (Caffe's column buffer, arXiv:1408.5093), so no
-    whole-batch GEMM result is ever held. A GEMM row's sums do not depend on the other rows, so the
-    bytes are those of one whole-batch GEMM; the one exception is a piece small enough (a few hundred
-    rows by a few columns) for OpenBLAS's small-matrix kernel, which no encoder conv splits into. The
-    kernel gradient gathers in chunks too but sums over rows, so its chunk GEMMs are added in chunk order
-    and its bytes are one whole-batch GEMM's only where the batch is one chunk."""
+    [N,F,OH,OW]. The im2col matrix is gathered in _chunks; each chunk's GEMM result is written straight
+    into its images of the NCHW output (Caffe's column buffer, arXiv:1408.5093), so no whole-batch GEMM
+    result is ever held. The bias is added once, to that output: added to each chunk's [rows, F] product,
+    it cost more than the GEMM where F is small (8 on tiny's conv1). A GEMM row's sums do not depend on
+    the other rows, so the bytes are those of one whole-batch GEMM; the one exception is a piece small
+    enough (a few hundred rows by a few columns) for OpenBLAS's small-matrix kernel, which no encoder conv
+    splits into. The kernel gradient gathers in chunks too but sums over rows, so its chunk GEMMs are added
+    in chunk order and its bytes are one whole-batch GEMM's only where the batch is one chunk."""
     n, h, w, _ = src.shape
     ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
     f = wmat.shape[1]
     out = np.empty((n, f, ho, wo), dtype=np.result_type(src.dtype, wmat.dtype))
     for i, j, _ in _chunks(src, kh, kw, ph, pw, f):
-        part = _im2col(src[i:j], kh, kw, ph, pw) @ wmat
-        if bias is not None:
-            part += bias
-        out[i:j] = part.reshape(j - i, ho, wo, f).transpose(0, 3, 1, 2)
-        del part  # freed before the next chunk's product, not when that product is bound
+        # one expression, so the product is freed before the next chunk's is made
+        out[i:j] = (_im2col(src[i:j], kh, kw, ph, pw) @ wmat).reshape(j - i, ho, wo, f).transpose(0, 3, 1, 2)
+    if bias is not None:
+        out += bias.reshape(f, 1, 1)
     return out
 
 

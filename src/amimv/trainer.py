@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
@@ -277,7 +278,21 @@ def _write_log(out_dir: str, rows: list[tuple[int, float, float]]) -> None:
 
 
 def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainResult:
-    """Run the full pretraining loop; writes log.csv, checkpoint, run.json."""
+    """Run the full pretraining loop; writes log.csv, checkpoint, run.json.
+
+    An out_dir holding an ``epoch_<n>/`` snapshot that this run's snapshot_epochs would not rewrite is
+    refused before the dataset is resolved: beside this run's checkpoint it would pass for one of its own.
+    Nothing is deleted."""
+    root, ours = config.out_dir, {f"epoch_{e}" for e in config.snapshot_epochs}
+    stale = sorted(
+        n for n in (os.listdir(root) if os.path.isdir(root) else [])
+        if re.fullmatch(r"epoch_[0-9]+", n) and n not in ours and os.path.isdir(os.path.join(root, n))
+    )
+    if stale:
+        raise ValidationError(
+            f"{root} holds snapshot(s) {', '.join(n + '/' for n in stale)} that this run's snapshot_epochs "
+            "would not rewrite; move them or choose another out_dir"
+        )
     if dataset is None:
         dataset = resolve_dataset(config.dataset, seed=config.seed)
     view_size = resolve_view_size(config, dataset)

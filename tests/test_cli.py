@@ -283,6 +283,24 @@ class TestPretrain:
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 
+    def test_snapshots_of_another_run_exit_2(self, tmp_path, capsys):
+        """A run into an --out holding epoch_<n>/ snapshots it would not rewrite stops before it trains,
+        names them on one line and leaves every file as it was; one that rewrites them all runs."""
+        out = tmp_path / "run"
+        args = ["pretrain", "--out", str(out), "--dataset", SMALL_SYNTH, "--batch_size", "16"]
+        assert main([*args, "--epochs", "2", "--snapshot_epochs", "1:2"]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert json.loads((out / "epoch_2" / "manifest.json").read_text())["step"] == 4
+        capsys.readouterr()
+        assert main([*args, "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "epoch_1/" in err and "epoch_2/" in err
+        assert main([*args, "--epochs", "2", "--snapshot_epochs", "2"]) == 2
+        assert "epoch_1/" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert main([*args, "--epochs", "2", "--snapshot_epochs", "1:2", "--seed", "1"]) == 0
+
 
 def _without(key):
     return lambda manifest: {k: v for k, v in manifest.items() if k != key}

@@ -94,6 +94,24 @@ class TestEncode:
         assert feats.shape == (2, 256)
         assert proj.shape == (2, 128)
 
+    @pytest.mark.parametrize("arch,size", [("tiny", 28), ("small_residual", 32)])
+    def test_no_grad_pass_gives_the_recorded_bytes(self, arch, size):
+        """The key passes and feature extraction run the encoder unrecorded; its features and projections
+        have the bytes of the same call recorded on a tape. 16 images put several squares slices in every
+        group norm."""
+        cfg = M.EncoderConfig(arch=arch, input_channels=3, input_size=size)
+        pair = M.init_pair(cfg, seed=3)
+        x = batch(n=16, seed=4, cfg=cfg)
+        with T.no_grad():
+            unrecorded = M.encode(pair.q_params, x, cfg)
+        with T.Tape() as tape:
+            recorded = M.encode(pair.q_params, x, cfg)
+        assert tape.records
+        for got, want in zip(unrecorded, recorded):
+            assert got.record is None and want.record is not None
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got.data, want.data)
+
 
 class TestEmaUpdate:
     def test_m_one_freezes_k(self):

@@ -476,6 +476,8 @@ _ENCODER_NORMS = [
     (64, 8, 28, 28), (64, 16, 14, 14), (32, 32, 32, 32), (32, 64, 16, 16), (32, 128, 8, 8),
     (32, 256, 4, 4), (3, 8, 5, 5), (2, 8, 1, 1),
 ]
+# the group norms of one 128-image chunk of tiny's eval pass
+_EVAL_NORMS = [(128, 8, 28, 28), (128, 16, 14, 14)]
 
 
 @pytest.mark.parametrize("shape", _ENCODER_NORMS)
@@ -574,6 +576,47 @@ def test_group_norm_backward_memory_is_bounded(dtype, shape, relu):
     assert [a.shape for a in grads] == [shape, (c,), (c,)]
     np.testing.assert_array_equal(g, g_before)  # add's backward hands one g to both its inputs
     assert peak <= 2 * x.data.nbytes + (8 * n * c + 2 * np.getbufsize()) * x.data.itemsize
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _ENCODER_NORMS + _EVAL_NORMS)
+def test_unrecorded_group_norm_gives_the_recorded_bytes(dtype, shape, relu):
+    """An unrecorded call, which writes its output over x^, gives the bytes of a recorded one."""
+    rng = np.random.default_rng(27)
+    c = shape[1]
+    arrays = [(rng.normal(size=s) * 2.0 + 0.5).astype(dtype) for s in (shape, (c,), (c,))]
+    leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+    with T.Tape() as tape:
+        want = T.group_norm(*leaves, 8, 1e-5, relu=relu)
+        with T.no_grad():
+            got = T.group_norm(*leaves, 8, 1e-5, relu=relu)
+    assert len(tape.records) == 1 and got.record is None
+    assert got.dtype == want.dtype == dtype
+    np.testing.assert_array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _ENCODER_NORMS[:6] + _EVAL_NORMS)
+def test_unrecorded_group_norm_relu_forward_memory_is_bounded(dtype, shape):
+    """Above its input, an unrecorded GN-ReLU forward holds one x-sized array (x^, then its output over it),
+    the bool mask, one slice of squares of at most 256 KiB (or one group's, where that is larger), a few
+    per-(n, group) arrays and numpy's cast buffers: not a second x-sized array."""
+    rng = np.random.default_rng(28)
+    n, c = shape[:2]
+    x, gamma, beta = (T.Tensor(rng.normal(size=s).astype(dtype)) for s in (shape, (c,), (c,)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        y = T.group_norm(x, gamma, beta, 8, 1e-5, relu=True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    squares = max(256 << 10, x.data.nbytes // (n * 8))
+    slack = (4 * n * 8 + 2 * np.getbufsize()) * x.data.itemsize
+    assert squares + slack < x.data.nbytes  # so a second x-sized array would break the bound
+    assert peak <= y.data.nbytes + x.data.size + squares + slack
 
 
 def test_unrecorded_relu_packs_no_mask(monkeypatch):
