@@ -1,16 +1,20 @@
 """Desk-scale convolutional encoder with a momentum-paired twin.
 
-Two architectures: ``tiny`` (two conv blocks, 64-d features) for tests
-and the standard desk experiments, and ``small_residual`` (four residual
-blocks, 256-d features) for larger runs. Both end in a three-layer MLP
-projection head (hidden 512, output 128, L2-normalized). The key encoder
-is a gradient-free copy of the query encoder, updated by EMA.
+Each architecture is one table, ``ARCHS[arch]``, of its layers in forward
+order: ``tiny`` (two conv layers) for tests and the standard desk
+experiments, ``small_residual`` (a stem and four residual blocks) for larger
+runs. ``layer_shapes`` walks a table on shapes alone; ``param_specs``,
+``EncoderConfig.feature_dim`` and ``INPUT_DIVISOR`` derive from it, and
+``encode`` runs it. Both end in a three-layer MLP projection head (hidden
+512, output 128, L2-normalized). The key encoder is a gradient-free copy of
+the query encoder, updated by EMA.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -23,7 +27,25 @@ from .tensor import Tensor
 
 GN_EPS = 1e-5
 GN_GROUPS = 8
-INPUT_DIVISOR = {"tiny": 4, "small_residual": 16}  # the encoder's total downsampling
+
+# Rows: ("conv_gn", conv, gn, c) is a 3x3 conv to c channels, then group norm and ReLU; ("block", name, c)
+# a residual block to c channels; ("pool",) a 2x2 average pool; ("feat", d) flatten, then linear to d.
+ARCHS = {
+    "tiny": (
+        ("conv_gn", "conv1", "gn1", 8), ("pool",),
+        ("conv_gn", "conv2", "gn2", 16), ("pool",),
+        ("feat", 64),
+    ),
+    "small_residual": (
+        ("conv_gn", "stem", "stem_gn", 32),
+        ("block", "block0", 32), ("pool",),
+        ("block", "block1", 64), ("pool",),
+        ("block", "block2", 128), ("pool",),
+        ("block", "block3", 256), ("pool",),
+        ("feat", 256),
+    ),
+}
+INPUT_DIVISOR = {arch: 2 ** rows.count(("pool",)) for arch, rows in ARCHS.items()}  # total downsampling
 
 
 @dataclass
@@ -35,7 +57,7 @@ class EncoderConfig:
     projector_out: int = 128
 
     def __post_init__(self):
-        if self.arch not in INPUT_DIVISOR:
+        if not isinstance(self.arch, str) or self.arch not in ARCHS:
             raise ValidationError(f"unknown arch {self.arch!r}")
         for name in ("input_channels", "input_size", "projector_hidden", "projector_out"):
             if getattr(self, name) < 1:
@@ -48,7 +70,7 @@ class EncoderConfig:
 
     @property
     def feature_dim(self) -> int:
-        return 64 if self.arch == "tiny" else 256
+        return ARCHS[self.arch][-1][1]
 
 
 @dataclass
@@ -63,7 +85,7 @@ class EncoderPair:
 
 
 # ---------------------------------------------------------------------------
-# initialization
+# layer walk and initialization
 
 
 def _he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -71,66 +93,41 @@ def _he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def _tiny_param_specs(cfg: EncoderConfig):
-    s = cfg.input_size
-    flat = 16 * (s // 4) * (s // 4)
-    return [
-        ("conv1.w", (8, cfg.input_channels, 3, 3)),
-        ("conv1.b", (8,)),
-        ("gn1.gamma", (8,)),
-        ("gn1.beta", (8,)),
-        ("conv2.w", (16, 8, 3, 3)),
-        ("conv2.b", (16,)),
-        ("gn2.gamma", (16,)),
-        ("gn2.beta", (16,)),
-        ("feat.w", (flat, 64)),
-        ("feat.b", (64,)),
-    ]
+def _conv_gn_specs(conv: str, gn: str, c: int, cin: int) -> list:
+    return [(f"{conv}.w", (c, cin, 3, 3)), (f"{conv}.b", (c,)), (f"{gn}.gamma", (c,)), (f"{gn}.beta", (c,))]
 
 
-_SR_CHANNELS = [32, 64, 128, 256]
+def layer_shapes(cfg: EncoderConfig):
+    """Walk cfg's layer table on shapes alone, allocating no array. Yield, per layer in forward order, its
+    row, its per-image input and output shapes ((C, H, W), or (D,) after "feat") and its parameter specs."""
+    shape = (cfg.input_channels, cfg.input_size, cfg.input_size)
+    for row in ARCHS[cfg.arch]:
+        kind, cin = row[0], shape[0]
+        if kind == "pool":
+            out, specs = (cin, shape[1] // 2, shape[2] // 2), []
+        elif kind == "feat":
+            out = (row[1],)
+            specs = [("feat.w", (math.prod(shape), row[1])), ("feat.b", out)]
+        elif kind == "conv_gn":
+            out, specs = (row[3],) + shape[1:], _conv_gn_specs(row[1], row[2], row[3], cin)
+        else:  # a residual block, with a skip conv where the channel count changes
+            p, c = row[1:]
+            out = (c,) + shape[1:]
+            specs = _conv_gn_specs(f"{p}.conv1", f"{p}.gn1", c, cin)
+            specs += _conv_gn_specs(f"{p}.conv2", f"{p}.gn2", c, c)
+            if cin != c:
+                specs.append((f"{p}.skip.w", (c, cin, 1, 1)))
+        yield row, shape, out, specs
+        shape = out
 
 
-def _small_residual_param_specs(cfg: EncoderConfig):
-    specs = [
-        ("stem.w", (_SR_CHANNELS[0], cfg.input_channels, 3, 3)),
-        ("stem.b", (_SR_CHANNELS[0],)),
-        ("stem_gn.gamma", (_SR_CHANNELS[0],)),
-        ("stem_gn.beta", (_SR_CHANNELS[0],)),
-    ]
-    cin = _SR_CHANNELS[0]
-    for i, cout in enumerate(_SR_CHANNELS):
-        p = f"block{i}"
-        specs += [
-            (f"{p}.conv1.w", (cout, cin, 3, 3)),
-            (f"{p}.conv1.b", (cout,)),
-            (f"{p}.gn1.gamma", (cout,)),
-            (f"{p}.gn1.beta", (cout,)),
-            (f"{p}.conv2.w", (cout, cout, 3, 3)),
-            (f"{p}.conv2.b", (cout,)),
-            (f"{p}.gn2.gamma", (cout,)),
-            (f"{p}.gn2.beta", (cout,)),
-        ]
-        if cin != cout:
-            specs.append((f"{p}.skip.w", (cout, cin, 1, 1)))
-        cin = cout
-    s = cfg.input_size // 16
-    specs += [("feat.w", (_SR_CHANNELS[-1] * s * s, 256)), ("feat.b", (256,))]
-    return specs
-
-
-def _projector_param_specs(cfg: EncoderConfig):
+def param_specs(cfg: EncoderConfig):
     d, h, o = cfg.feature_dim, cfg.projector_hidden, cfg.projector_out
-    return [
+    return [spec for *_, specs in layer_shapes(cfg) for spec in specs] + [
         ("proj1.w", (d, h)), ("proj1.b", (h,)),
         ("proj2.w", (h, h)), ("proj2.b", (h,)),
         ("proj3.w", (h, o)), ("proj3.b", (o,)),
     ]
-
-
-def param_specs(cfg: EncoderConfig):
-    enc = _tiny_param_specs(cfg) if cfg.arch == "tiny" else _small_residual_param_specs(cfg)
-    return enc + _projector_param_specs(cfg)
 
 
 def _init_value(rng: np.random.Generator, name: str, shape) -> np.ndarray:
@@ -166,15 +163,7 @@ def _conv_block(x: Tensor, p: dict, prefix: str) -> Tensor:
     return T.conv2d(x, p[f"{prefix}.w"], stride=1, padding=1, bias=p[f"{prefix}.b"])
 
 
-def _encode_tiny(p: dict, x: Tensor) -> Tensor:
-    h = _conv_block(x, p, "conv1")
-    h = T.avg_pool2d(_group_norm(h, p, "gn1", relu=True), 2)
-    h = _conv_block(h, p, "conv2")
-    h = T.avg_pool2d(_group_norm(h, p, "gn2", relu=True), 2)
-    flat = T.reshape(h, (h.shape[0], h.shape[1] * h.shape[2] * h.shape[3]))
-    return T.linear(flat, p["feat.w"], p["feat.b"])
-
-
+# one op per statement: rebinding h frees each activation of a no-tape pass as soon as the next op returns
 def _residual_block(p: dict, x: Tensor, prefix: str) -> Tensor:
     h = _conv_block(x, p, f"{prefix}.conv1")
     h = _group_norm(h, p, f"{prefix}.gn1", relu=True)
@@ -186,16 +175,6 @@ def _residual_block(p: dict, x: Tensor, prefix: str) -> Tensor:
     return T.relu(T.add(h, skip))
 
 
-def _encode_small_residual(p: dict, x: Tensor) -> Tensor:
-    h = _conv_block(x, p, "stem")
-    h = _group_norm(h, p, "stem_gn", relu=True)
-    for i in range(4):
-        h = _residual_block(p, h, f"block{i}")
-        h = T.avg_pool2d(h, 2)
-    flat = T.reshape(h, (h.shape[0], h.shape[1] * h.shape[2] * h.shape[3]))
-    return T.linear(flat, p["feat.w"], p["feat.b"])
-
-
 def encode(
     pair_params: dict[str, Tensor], batch: Tensor, config: EncoderConfig, project: bool = True
 ) -> tuple[Tensor, Tensor | None]:
@@ -205,10 +184,18 @@ def encode(
     expected = (config.input_channels, config.input_size, config.input_size)
     if batch.data.ndim != 4 or batch.shape[1:] != expected:
         raise DimensionError(f"batch shape {batch.shape} does not match {('N',) + expected}")
-    if config.arch == "tiny":
-        features = _encode_tiny(pair_params, batch)
-    else:
-        features = _encode_small_residual(pair_params, batch)
+    features = batch
+    for row in ARCHS[config.arch]:  # ops and helpers are looked up at call time, so tracing can wrap them
+        if row[0] == "conv_gn":
+            features = _conv_block(features, pair_params, row[1])
+            features = _group_norm(features, pair_params, row[2], relu=True)
+        elif row[0] == "block":
+            features = _residual_block(pair_params, features, row[1])
+        elif row[0] == "pool":
+            features = T.avg_pool2d(features, 2)
+        else:
+            flat = T.reshape(features, (features.shape[0], math.prod(features.shape[1:])))
+            features = T.linear(flat, pair_params["feat.w"], pair_params["feat.b"])
     if not project:
         return features, None
     h = T.relu(T.linear(features, pair_params["proj1.w"], pair_params["proj1.b"]))

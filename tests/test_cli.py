@@ -11,11 +11,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_datasets import damaged_npz, npy_payload, small_dataset, write_archive
 
 from amimv import datasets
+from amimv import model as M
 from amimv import trainer as TR
 from amimv.cli import main
 from amimv.trainer import RunConfig
@@ -306,6 +307,13 @@ def _without(key):
     return lambda manifest: {k: v for k, v in manifest.items() if k != key}
 
 
+_MANIFEST_CONFIG = M.EncoderConfig(arch="tiny", input_channels=1, input_size=16)
+# every top-level key of a saved manifest
+_MANIFEST_KEYS = [f.name for f in dataclasses.fields(M.EncoderConfig)] + [
+    "momentum", "step", "dtype", "params", "blob_blake2b",
+]
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "run"
@@ -351,6 +359,8 @@ class TestProbe:
         "edit,missing",
         [
             (lambda m: m.update(arch="small_residual"), None),
+            (lambda m: m.update(arch=["tiny"]), None),
+            (lambda m: m.update(arch={}), None),
             (lambda m: m["params"][0].update(shape=[8, 1, 5, 5]), None),
             (lambda m: m.update(dtype="float64"), None),
             (lambda m: m.update(input_size="16"), None),
@@ -361,7 +371,8 @@ class TestProbe:
             (_without("params"), "params"),
         ],
         ids=[
-            "arch", "shape", "dtype", "input_size-str", "not-an-object", "momentum-str",
+            "arch", "arch-list", "arch-object", "shape", "dtype", "input_size-str", "not-an-object",
+            "momentum-str",
             "missing-arch", "missing-dtype", "missing-params",
         ],
     )
@@ -379,6 +390,28 @@ class TestProbe:
         if missing:
             assert "manifest" in err and repr(missing) in err
         assert not (tmp_path / "eval.json").exists()
+
+    @given(key=st.sampled_from(_MANIFEST_KEYS), value=_BAD_JSON_VALUES)
+    @example(key="arch", value=["tiny"])
+    @settings(max_examples=40, deadline=None)
+    def test_no_manifest_value_ends_in_exit_1(self, key, value):
+        """Any one top-level manifest value replaced by a wrong type, a non-finite or a non-positive number
+        gives exit 0 or 2 and at most one line on stderr."""
+        from amimv import model as M
+
+        with tempfile.TemporaryDirectory() as tmp:
+            M.save_checkpoint(M.init_pair(_MANIFEST_CONFIG, seed=0), tmp)
+            path = os.path.join(tmp, "manifest.json")
+            with open(path) as fh:
+                manifest = json.load(fh)
+            manifest[key] = value
+            with open(path, "w") as fh:
+                json.dump(manifest, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["probe", tmp, SMALL_SYNTH, "--epochs", "1"])
+        assert code in (0, 2)
+        assert err.getvalue().count("\n") <= 1
 
     def test_corrupted_blob_exit_2(self, tmp_path, capsys):
         from amimv import model as M

@@ -1,5 +1,6 @@
 """Encoder pair: init, forward, EMA, and checkpoint round-trips."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -53,6 +54,33 @@ class TestInitPair:
     def test_dimension_below_one_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be >= 1, got {value}"):
             M.EncoderConfig(arch="tiny", **{field: value})
+
+
+# blake2b of param_specs over both archs, 1 and 3 channels, the smallest and two larger legal input sizes,
+# and the default and a (7, 5) projector: the names, shapes and order that drive the init draws and the
+# checkpoint layout. The golden manifests in test_trainer.py pin only tiny@16 and small_residual@32.
+_GOLDEN_PARAM_SPECS = (
+    "412cf4cbb18eceb0cbb00ad35dba3821d7f20a9c6d1728bdf1f9fe972bf1d8f5"
+    "ececa748359e4c907a0e6caf12e495877b87880c5737a2ffc0c164ef0b2b4900"
+)
+
+
+class TestParamSpecs:
+    def test_param_specs_digest(self):
+        rows = []
+        for arch, sizes in (("tiny", (4, 28, 64)), ("small_residual", (16, 32, 64))):
+            for c in (1, 3):
+                for s in sizes:
+                    for h, o in ((512, 128), (7, 5)):
+                        cfg = M.EncoderConfig(arch, c, s, projector_hidden=h, projector_out=o)
+                        rows.append([arch, c, s, h, o, M.param_specs(cfg)])
+        assert hashlib.blake2b(json.dumps(rows).encode()).hexdigest() == _GOLDEN_PARAM_SPECS
+
+    def test_feature_dim_and_input_divisor(self):
+        assert {a: M.EncoderConfig(a, input_size=32).feature_dim for a in M.INPUT_DIVISOR} == {
+            "tiny": 64, "small_residual": 256,
+        }
+        assert M.INPUT_DIVISOR == {"tiny": 4, "small_residual": 16}
 
 
 class TestEncode:

@@ -754,6 +754,71 @@ _ENCODER_CONVS = [
 ]
 
 
+def _walked_shapes(arch, size, channels, batch):
+    """The conv (x_shape, k_shape, stride, pad), group norm and pool input shapes of one encoder pass, in
+    forward order, from model.layer_shapes alone: a conv keeps H and W (padding k // 2), and each group
+    norm normalizes its layer's output."""
+    convs, norms, pools = [], [], []
+    for row, x_shape, y_shape, specs in M.layer_shapes(M.EncoderConfig(arch, channels, size)):
+        if row[0] == "pool":
+            pools.append((batch, *x_shape))
+        for name, shape in specs:
+            if len(shape) == 4:
+                convs.append(((batch, shape[1], *x_shape[1:]), shape, 1, shape[2] // 2))
+            elif name.endswith(".gamma"):
+                norms.append((batch, shape[0], *y_shape[1:]))
+    return convs, norms, pools
+
+
+@pytest.mark.parametrize(
+    "arch,size,channels,batch",
+    [("tiny", 28, 1, 64), ("small_residual", 32, 1, 32), ("small_residual", 32, 3, 32)],
+)
+def test_hand_lists_hold_every_walked_encoder_shape(arch, size, channels, batch):
+    """_ENCODER_CONVS, _ENCODER_NORMS and _ENCODER_POOLS are written by hand; each shape the layer walk
+    gives for the benchmark configurations must be in them."""
+    convs, norms, pools = _walked_shapes(arch, size, channels, batch)
+    assert convs and norms and pools
+    assert [c for c in convs if c not in _ENCODER_CONVS] == []
+    assert [s for s in norms if s not in _ENCODER_NORMS] == []
+    assert [s for s in pools if s not in _ENCODER_POOLS] == []
+
+
+@pytest.mark.parametrize("arch,channels", [("tiny", 1), ("small_residual", 3)])
+def test_walked_shapes_are_the_forward_pass_shapes(monkeypatch, arch, channels):
+    """An encode call hands conv2d, group_norm and avg_pool2d the walk's shapes, in the walk's order, and
+    returns features of the walk's last output shape."""
+    seen = {"conv2d": [], "group_norm": [], "avg_pool2d": []}
+    for name, log in seen.items():
+        def spy(x, *args, _op=getattr(T, name), _log=log, _name=name, **kwargs):
+            if _name == "conv2d":
+                _log.append((x.shape, args[0].shape, kwargs["stride"], kwargs["padding"]))
+            else:
+                _log.append(x.shape)
+            return _op(x, *args, **kwargs)
+
+        monkeypatch.setattr(T, name, spy)
+    cfg = M.EncoderConfig(arch, channels, 16)
+    x = T.Tensor(np.random.default_rng(0).normal(size=(2, channels, 16, 16)).astype(np.float32))
+    features, _ = M.encode(M.init_pair(cfg, seed=0).q_params, x, cfg)
+    assert list(seen.values()) == list(_walked_shapes(arch, 16, channels, 2))
+    assert features.shape[1:] == list(M.layer_shapes(cfg))[-1][2] == (cfg.feature_dim,)
+
+
+def test_layer_shapes_allocates_no_array():
+    """At input_size 4096 one small_residual activation is 2 GiB per image; the walk stays under 64 KiB."""
+    cfg = M.EncoderConfig("small_residual", 3, 4096)
+    tracemalloc.start()
+    try:
+        layers = list(M.layer_shapes(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [x_shape for _, x_shape, _, _ in layers[:2]] == [(3, 4096, 4096), (32, 4096, 4096)]
+    assert layers[-1][2] == (256,)
+    assert peak < 64 << 10
+
+
 # conv2d sums its GEMMs over (kh, kw, c), the reference over (c, kh, kw), and dx is a correlation of g
 # with the flipped kernel, so output, dx and dk round in another order than the reference's
 _DX_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
