@@ -91,7 +91,6 @@ def _check_out(out: str) -> None:
 
 
 def _write(out: str, files: dict[str, str]) -> None:
-    os.makedirs(out, exist_ok=True)
     for name, text in files.items():
         atomic_write_text(os.path.join(out, name), text)
 

@@ -4,8 +4,6 @@ alignment/uniformity, and PCA projection for reports."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,6 +14,7 @@ from . import model as M
 from . import tensor as T
 from .datasets import ImageDataset
 from .errors import NumericError, ValidationError
+from .fsutil import csv_text
 from .views import normalize_view
 
 ADAMW_BETAS = (0.9, 0.999)
@@ -60,21 +59,14 @@ class EvalReport:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["metric", "class", "value"])
-        w.writerow(["accuracy", "", f"{self.accuracy:.6f}"])
-        w.writerow(["macro_auc", "", f"{self.macro_auc:.6f}"])
+        rows = [["metric", "class", "value"], ["accuracy", "", f"{self.accuracy:.6f}"],
+                ["macro_auc", "", f"{self.macro_auc:.6f}"]]
         for c, acc in enumerate(self.per_class_accuracy):
-            w.writerow(["per_class_accuracy", c, f"{acc:.6f}" if not math.isnan(acc) else "nan"])
-        return buf.getvalue()
+            rows.append(["per_class_accuracy", c, f"{acc:.6f}" if not math.isnan(acc) else "nan"])
+        return csv_text(rows)
 
     def confusion_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        for row in self.confusion:
-            w.writerow([int(v) for v in row])
-        return buf.getvalue()
+        return csv_text([int(v) for v in row] for row in self.confusion)
 
 
 # ---------------------------------------------------------------------------

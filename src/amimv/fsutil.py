@@ -1,5 +1,7 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""Atomic file writes (temp file in the target directory, then rename) and CSV text."""
 
+import csv
+import io
 import os
 import tempfile
 
@@ -20,3 +22,10 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def csv_text(rows) -> str:
+    """`rows` as CSV text in csv.writer's default dialect (CRLF line ends)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()

@@ -8,8 +8,6 @@ three-way category label with a per-dataset override map.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -17,6 +15,7 @@ import numpy as np
 
 from .datasets import LabelHistogram
 from .errors import ValidationError
+from .fsutil import csv_text
 
 CATEGORIES = ("FB", "PI", "I")
 
@@ -73,14 +72,9 @@ class ImbalanceReport:
         return json.dumps(d, indent=2)
 
     def to_csv_row(self, name: str = "") -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["dataset", "IR", "CV", "NE", "GI", "RCR", "category"])
-        w.writerow(
-            [name, f"{self.ir:.2f}", f"{self.cv:.2f}", f"{self.ne:.2f}",
-             f"{self.gi:.2f}", f"{self.rcr:.2f}", self.category or ""]
-        )
-        return buf.getvalue()
+        values = (self.ir, self.cv, self.ne, self.gi, self.rcr)
+        row = [name, *(f"{v:.2f}" for v in values), self.category or ""]
+        return csv_text([["dataset", "IR", "CV", "NE", "GI", "RCR", "category"], row])
 
 
 def imbalance_metrics(hist: LabelHistogram) -> ImbalanceReport:

@@ -28,11 +28,13 @@ class LossConfig:
 
 
 def fuse(za: Tensor, zb: Tensor, kind: str = "mean_norm") -> Tensor:
-    """Combine two embedding batches into one, L2-normalized per row."""
+    """Combine two embedding batches into one, L2-normalized per row. mean_norm normalizes za + zb: the
+    mean's 1/2 cancels exactly in l2_normalize, output and gradient, except below its guard, ||za + zb|| <=
+    2e-12; float32 unit projections sit there only at 0, where the gradient is twice the mean's."""
     if za.shape != zb.shape:
         raise DimensionError(f"fuse shapes disagree: {za.shape} vs {zb.shape}")
     if kind == "mean_norm":
-        return T.l2_normalize(T.scale(T.add(za, zb), 0.5))
+        return T.l2_normalize(T.add(za, zb))
     if kind == "hadamard_norm":
         return T.l2_normalize(T.mul(za, zb))
     if kind == "concat":

@@ -193,9 +193,8 @@ def encode(
             features = _residual_block(pair_params, features, row[1])
         elif row[0] == "pool":
             features = T.avg_pool2d(features, 2)
-        else:
-            flat = T.reshape(features, (features.shape[0], math.prod(features.shape[1:])))
-            features = T.linear(flat, pair_params["feat.w"], pair_params["feat.b"])
+        else:  # linear reads the pooled map [N, C, H, W] as [N, C*H*W]
+            features = T.linear(features, pair_params["feat.w"], pair_params["feat.b"])
     if not project:
         return features, None
     h = T.relu(T.linear(features, pair_params["proj1.w"], pair_params["proj1.b"]))
@@ -218,7 +217,6 @@ def ema_update(pair: EncoderPair) -> None:
 
 def save_checkpoint(pair: EncoderPair, directory: str) -> None:
     """Write manifest.json plus a little-endian float32 parameter blob."""
-    os.makedirs(directory, exist_ok=True)
     names = [name for name, _ in param_specs(pair.config)]
     # one copy of the parameters, hashed and written through the buffer protocol
     blob = np.concatenate(

@@ -2,10 +2,13 @@
 
 The op set is the minimal closed family needed by the encoder, projection
 head, contrastive losses, and optimizers: elementwise arithmetic, matmul,
-linear (``x @ w + b``), 2D cross-correlation with an optional bias, group
-normalization with an optional fused ReLU, 2x2 average pooling,
-reductions, concat, gather, L2 normalization, and a max-shifted logsumexp;
-each encoder layer is one tape record.
+linear (``x @ w + b``, reading an x [N, ...] as its [N, D] view, so the
+encoder's pooled map needs no reshape record), 2D cross-correlation with an
+optional bias, group normalization with an optional fused ReLU, 2x2 average
+pooling, reductions, concat, gather, L2 normalization, and a max-shifted
+logsumexp; each encoder layer is one tape record. The open tapes and
+no_grad blocks sit on one list, _TAPE_STACK, a no_grad block as None: an op
+records on the innermost tape unless a no_grad block is open.
 
 The tape keeps only what the backward pass reads. A tracked output points
 to its record; a record holds its backward closure and, per input, the
@@ -39,8 +42,8 @@ takes a chunk of whole images at a time (Caffe's column buffer,
 arXiv:1408.5093): as many as fit in _IM2COL_BYTES (2 MiB) together with
 their GEMM result and the kernel matrix it multiplies, or one image. The
 forward and the input gradient write each chunk's product straight into its
-images of their NCHW result, so no whole-batch GEMM result is held; the
-forward then adds the bias to that result once. The tape keeps a conv's
+images of their NCHW result, so no whole-batch GEMM result is held; conv2d
+then adds the bias to the forward's result once. The tape keeps a conv's
 input, not its im2col matrix (kh*kw times larger); the kernel gradient
 gathers the matrix again from the input in chunks sized by the matrix
 alone, its product being kernel-sized, and sums their GEMMs in chunk order,
@@ -147,25 +150,21 @@ class Tape:
         return False
 
 
-_TAPE_STACK: list[Tape] = []
-_NO_GRAD_DEPTH = 0
+_TAPE_STACK: list[Tape | None] = []  # the open tapes and, as None, the open no_grad blocks; innermost last
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Suspend tape recording (the key-encoder branch runs under this)."""
-    global _NO_GRAD_DEPTH
-    _NO_GRAD_DEPTH += 1
+    """Suspend tape recording (the key-encoder branch runs under this), even on a tape opened inside."""
+    _TAPE_STACK.append(None)
     try:
         yield
     finally:
-        _NO_GRAD_DEPTH -= 1
+        _TAPE_STACK.pop()
 
 
 def _active_tape() -> Tape | None:
-    if _NO_GRAD_DEPTH > 0 or not _TAPE_STACK:
-        return None
-    return _TAPE_STACK[-1]
+    return _TAPE_STACK[-1] if _TAPE_STACK and None not in _TAPE_STACK else None
 
 
 def _source(t: Tensor, tape_key: object) -> "_Record | Tensor | None":
@@ -388,11 +387,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for x [N,D], w [D,O], b [O]."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+    """``x @ w + b`` for x [N,D], w [D,O], b [O]; an x [N, ...] is read as its [N,D] view."""
+    if x.data.ndim < 2 or w.data.ndim != 2 or np.prod(x.shape[1:]) != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"linear shapes incompatible: {x.shape} x {w.shape} + {b.shape}")
-    xd, wd = x.data, w.data
-    return _make(xd @ wd + b.data, (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
+    xd, wd, shape = x.data.reshape(x.shape[0], w.shape[0]), w.data, x.shape
+    return _make(xd @ wd + b.data, (x, w, b), lambda g: ((g @ wd.T).reshape(shape), xd.T @ g, g.sum(axis=0)))
 
 
 def l2_normalize(a: Tensor, epsilon: float = 1e-12) -> Tensor:
@@ -554,19 +553,16 @@ def _chunks(src: np.ndarray, kh: int, kw: int, ph: int, pw: int, f: int):
         yield i, min(i + step, n), rows
 
 
-def _correlate(
-    src: np.ndarray, kh: int, kw: int, ph: int, pw: int, wmat: np.ndarray, bias: np.ndarray | None = None
-) -> np.ndarray:
+def _correlate(src: np.ndarray, kh: int, kw: int, ph: int, pw: int, wmat: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation of channels-last src [N,H,W,C], zero-padded by ph rows and pw columns
-    on each side, as ``_im2col(src, kh, kw, ph, pw) @ wmat (+ bias)`` for wmat [kh*kw*C, F]; returns NCHW
+    on each side, as ``_im2col(src, kh, kw, ph, pw) @ wmat`` for wmat [kh*kw*C, F]; returns NCHW
     [N,F,OH,OW]. The im2col matrix is gathered in _chunks; each chunk's GEMM result is written straight
     into its images of the NCHW output (Caffe's column buffer, arXiv:1408.5093), so no whole-batch GEMM
-    result is ever held. The bias is added once, to that output: added to each chunk's [rows, F] product,
-    it cost more than the GEMM where F is small (8 on tiny's conv1). A GEMM row's sums do not depend on
-    the other rows, so the bytes are those of one whole-batch GEMM; the one exception is a piece small
-    enough (a few hundred rows by a few columns) for OpenBLAS's small-matrix kernel, which no encoder conv
-    splits into. The kernel gradient gathers in chunks too but sums over rows, so its chunk GEMMs are added
-    in chunk order and its bytes are one whole-batch GEMM's only where the batch is one chunk."""
+    result is ever held. A GEMM row's sums do not depend on the other rows, so the bytes are those of one
+    whole-batch GEMM; the one exception is a piece small enough (a few hundred rows by a few columns) for
+    OpenBLAS's small-matrix kernel, which no encoder conv splits into. The kernel gradient gathers in chunks
+    too but sums over rows, so its chunk GEMMs are added in chunk order and its bytes are one whole-batch
+    GEMM's only where the batch is one chunk."""
     n, h, w, _ = src.shape
     ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
     f = wmat.shape[1]
@@ -574,8 +570,6 @@ def _correlate(
     for i, j, _ in _chunks(src, kh, kw, ph, pw, f):
         # one expression, so the product is freed before the next chunk's is made
         out[i:j] = (_im2col(src[i:j], kh, kw, ph, pw) @ wmat).reshape(j - i, ho, wo, f).transpose(0, 3, 1, 2)
-    if bias is not None:
-        out += bias.reshape(f, 1, 1)
     return out
 
 
@@ -609,9 +603,9 @@ def conv2d(
 
     # _im2col works channels-last, the layout a view tensor's memory already has
     wmat = kdata.transpose(0, 2, 3, 1).reshape(f, -1).T
-    out = _correlate(
-        x.data.transpose(0, 2, 3, 1), kh, kw, padding, padding, wmat, bias.data if has_bias else None
-    )
+    out = _correlate(x.data.transpose(0, 2, 3, 1), kh, kw, padding, padding, wmat)
+    if has_bias:  # once, to the NCHW output: per chunk it cost more than the GEMM at a small F (conv1)
+        out += bias.data.reshape(f, 1, 1)
 
     def bwd(g):
         # g: (n,f,ho,wo)

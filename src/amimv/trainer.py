@@ -12,8 +12,6 @@ step SGD under a warmup-then-cosine schedule.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -28,7 +26,7 @@ from . import model as M
 from . import tensor as T
 from .datasets import ImageDataset, resolve_dataset
 from .errors import ContractError, NumericError, ValidationError
-from .fsutil import atomic_write_text
+from .fsutil import atomic_write_text, csv_text
 from .views import AugmentConfig, RngStream, augment_view, build_amimv_batch
 from .tensor import Tensor
 
@@ -123,6 +121,8 @@ class RunConfig:
     snapshot_epochs: list[int] = field(default_factory=list)
 
     def __post_init__(self):
+        if not self.out_dir:  # run.json would land in the working directory
+            raise ValidationError("out_dir must name a directory, got ''")
         if self.mode not in ("amimv", "simclr_baseline"):
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.arch not in M.INPUT_DIVISOR:
@@ -258,7 +258,6 @@ def augment_config_for(config: RunConfig, view_size: int) -> AugmentConfig:
 
 @dataclass
 class TrainResult:
-    out_dir: str
     epoch_losses: list[float]
     pair: M.EncoderPair
 
@@ -269,12 +268,8 @@ def _epoch_batches(order: np.ndarray, batch_size: int):
 
 
 def _write_log(out_dir: str, rows: list[tuple[int, float, float]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["epoch", "mean_loss", "lr"])
-    for epoch, mean_loss, lr in rows:
-        writer.writerow([epoch, f"{mean_loss:.8f}", f"{lr:.8f}"])
-    atomic_write_text(os.path.join(out_dir, "log.csv"), buf.getvalue())
+    text = csv_text([["epoch", "mean_loss", "lr"]] + [[e, f"{m:.8f}", f"{lr:.8f}"] for e, m, lr in rows])
+    atomic_write_text(os.path.join(out_dir, "log.csv"), text)
 
 
 def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainResult:
@@ -318,7 +313,6 @@ def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainRes
         warmup_start=config.warmup_start,
     )
 
-    os.makedirs(config.out_dir, exist_ok=True)
     atomic_write_text(
         os.path.join(config.out_dir, "run.json"),
         json.dumps(asdict(config) | {"view_size": view_size}, indent=2),
@@ -331,46 +325,52 @@ def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainRes
         objective = partial(losses.nt_xent, tau=loss_cfg.tau)
 
     log_rows: list[tuple[int, float, float]] = []
-    for epoch in range(1, config.epochs + 1):
-        # batch -2 keeps the shuffle keys apart from the view keys (batch >= 0)
-        order = stream.permutation(images.shape[0], epoch, -2, 0)
-        batch_losses = []
-        lr = 0.0
-        for batch_index, idx in enumerate(_epoch_batches(order, config.batch_size)):
-            lr = lr_at(pair.step, schedule)
-            batch_images = images[idx]
-            if config.mode == "amimv":
-                batch = build_amimv_batch(batch_images, stats, aug_cfg, stream, epoch, batch_index)
-                queries, keys = (batch.v1n, batch.v2a), (batch.v1a, batch.v2n)
-            else:
-                n = batch_images.shape[0]
-                queries = tuple(
-                    augment_view(batch_images, stats, aug_cfg, stream.items(n, epoch, batch_index, branch))
-                    for branch in (1, 2)
-                )
-                keys = ()
-            with T.Tape() as tape:
-                zq = [M.encode(pair.q_params, v, pair.config)[1] for v in queries]
-                with T.no_grad():
-                    if keys and config.ema_placement == "before":
-                        M.ema_update(pair)
-                    zk = [M.encode(pair.k_params, v, pair.config)[1] for v in keys]
-                loss = objective(*zq, *zk)
-            T.backward(loss, tape)
-            sgd_step(pair.q_params, opt, lr)
-            if keys and config.ema_placement == "after":
-                M.ema_update(pair)
-            loss_value = loss.item()
-            if not math.isfinite(loss_value):
-                raise NumericError(
-                    f"non-finite loss {loss_value} at epoch {epoch}, step {pair.step}"
-                )
-            batch_losses.append(loss_value)
-            pair.step += 1
-        log_rows.append((epoch, float(np.mean(batch_losses)), lr))
-        if epoch in config.snapshot_epochs:
-            M.save_checkpoint(pair, os.path.join(config.out_dir, f"epoch_{epoch}"))
+    # an overflow shows as the non-finite loss or parameter checked below, not as warning lines on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            # batch -2 keeps the shuffle keys apart from the view keys (batch >= 0)
+            order = stream.permutation(images.shape[0], epoch, -2, 0)
+            batch_losses = []
+            lr = 0.0
+            for batch_index, idx in enumerate(_epoch_batches(order, config.batch_size)):
+                lr = lr_at(pair.step, schedule)
+                batch_images = images[idx]
+                if config.mode == "amimv":
+                    batch = build_amimv_batch(batch_images, stats, aug_cfg, stream, epoch, batch_index)
+                    queries, keys = (batch.v1n, batch.v2a), (batch.v1a, batch.v2n)
+                else:
+                    n = batch_images.shape[0]
+                    queries = tuple(
+                        augment_view(batch_images, stats, aug_cfg, stream.items(n, epoch, batch_index, branch))
+                        for branch in (1, 2)
+                    )
+                    keys = ()
+                with T.Tape() as tape:
+                    zq = [M.encode(pair.q_params, v, pair.config)[1] for v in queries]
+                    with T.no_grad():
+                        if keys and config.ema_placement == "before":
+                            M.ema_update(pair)
+                        zk = [M.encode(pair.k_params, v, pair.config)[1] for v in keys]
+                    loss = objective(*zq, *zk)
+                T.backward(loss, tape)
+                sgd_step(pair.q_params, opt, lr)
+                if keys and config.ema_placement == "after":
+                    M.ema_update(pair)
+                loss_value = loss.item()
+                if not math.isfinite(loss_value):
+                    raise NumericError(f"non-finite loss {loss_value} at epoch {epoch}, step {pair.step}")
+                batch_losses.append(loss_value)
+                pair.step += 1
+            log_rows.append((epoch, float(np.mean(batch_losses)), lr))
+            # the epoch's last step may have overflowed a parameter after its loss was checked: no checkpoint
+            # is written then, as load_checkpoint would reject it
+            for encoder, params in (("query", pair.q_params), ("key", pair.k_params)):
+                bad = [name for name, p in params.items() if not np.isfinite(p.data).all()]
+                if bad:
+                    raise NumericError(f"{encoder} parameter {bad[0]!r} is not finite after step {pair.step}")
+            if epoch in config.snapshot_epochs:
+                M.save_checkpoint(pair, os.path.join(config.out_dir, f"epoch_{epoch}"))
 
     M.save_checkpoint(pair, config.out_dir)
     _write_log(config.out_dir, log_rows)
-    return TrainResult(out_dir=config.out_dir, epoch_losses=[row[1] for row in log_rows], pair=pair)
+    return TrainResult(epoch_losses=[row[1] for row in log_rows], pair=pair)

@@ -2,10 +2,13 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 
@@ -22,6 +25,10 @@ from amimv.cli import main
 from amimv.trainer import RunConfig
 
 SMALL_SYNTH = "synthetic:C=2,counts=40:24,size=16"
+# a train split of 22 images
+SPLIT_22 = "synthetic:C=2,counts=20:12,size=16"
+# a run whose loss turns NaN at epoch 2
+_DIVERGING = ["--dataset", SPLIT_22, "--epochs", "3", "--batch_size", "8", "--base_lr", "1e30"]
 
 # Wrong types, NaN/inf, negatives, empty lists and strings: none of them is a
 # valid value that makes a run longer (epochs and batch_size take only ints).
@@ -301,6 +308,72 @@ class TestPretrain:
         assert "epoch_1/" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
         assert main([*args, "--epochs", "2", "--snapshot_epochs", "1:2", "--seed", "1"]) == 0
+
+    @pytest.mark.parametrize(
+        "spec,flags,size",
+        [
+            ("synthetic:C=2,counts=40:24,size=28", ["--view_size", "16", "--batch_size", "8"], 16),
+            # 8 px is not divisible by small_residual's 16: the views fall back to the recipe's 64 px
+            ("synthetic:C=2,counts=20:12,size=8", ["--arch", "small_residual", "--batch_size", "22"], 64),
+        ],
+        ids=["view_size", "fallback-64"],
+    )
+    def test_view_size_reaches_the_checkpoint(self, tmp_path, spec, flags, size):
+        out = tmp_path / "run"
+        assert main(["pretrain", "--out", str(out), "--dataset", spec, "--epochs", "1", *flags]) == 0
+        assert json.loads((out / "run.json").read_text())["view_size"] == size
+        assert json.loads((out / "manifest.json").read_text())["input_size"] == size
+        assert main(["probe", str(out), spec, "--epochs", "1"]) == 0
+
+    def test_batch_larger_than_the_train_split_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = ["--dataset", SPLIT_22, "--epochs", "1", "--batch_size", "1000"]
+        assert main(["pretrain", "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: train split of 22 images is smaller than batch_size 1000\n"
+        assert not out.exists()
+
+    def test_empty_out_dir_exit_2_before_the_dataset(self, tmp_path, capsys, monkeypatch):
+        def resolve_dataset(*args, **kwargs):
+            raise AssertionError("the dataset was resolved before the config was checked")
+
+        monkeypatch.setattr(TR, "resolve_dataset", resolve_dataset)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"dataset": SMALL_SYNTH, "epochs": 1, "out_dir": ""}))
+        assert main(["pretrain", "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out_dir ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_last_step_overflow_exit_4_no_checkpoint(self, tmp_path, capsys):
+        """A last step whose update overflows the weights leaves the loss it was taken on finite: the run
+        exits 4 naming the parameter, with one line, and writes no checkpoint that probe would reject."""
+        out = tmp_path / "run"
+        # one step, at a rate that overflows float32
+        args = ["--dataset", SPLIT_22, "--epochs", "1", "--batch_size", "22", "--warmup_fraction", "0"]
+        args += ["--base_lr", "1e39"]
+        assert main(["pretrain", "--out", str(out), *args]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: query parameter 'conv1.w' is not finite after step 1\n"
+        assert not (out / "checkpoint.bin").exists()
+
+    def test_diverging_run_exit_4_one_line(self, tmp_path, capsys):
+        # the suite turns warnings into errors, so an overflow warning would raise out of main
+        assert main(["pretrain", "--out", str(tmp_path / "run"), *_DIVERGING]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+
+    def test_diverging_run_as_a_process_prints_one_line(self, tmp_path):
+        """The console entry point under default warning filters, as a user runs it: no warning lines."""
+        src = os.path.dirname(os.path.dirname(M.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"} | {"PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "amimv.cli", "pretrain", "--out", str(tmp_path / "run"), *_DIVERGING],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 4
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
 def _without(key):
@@ -755,3 +828,28 @@ class TestCheckpointContent:
         assert err.count("\n") == 1 and "AdamW moments are not finite" in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
+
+
+# blake2b of each CSV the commands write for SMALL_SYNTH: analyze, a 2-epoch batch-8 pretrain and a 5-epoch
+# probe, all at seed 0. A change that moves these bytes on purpose updates the pins and says so in CHANGES.md.
+_GOLDEN_CSVS = {
+    "imbalance.csv": "d864421872be112de3340b6d17c9311361988a08ac5e8dcc59d6e5a73697fd04"
+    "a864e64615293c147974f16d2a18d3b91f91f679c709deea233ba0393c94c973",
+    "log.csv": "f739a1bed82e34fd45d4247845db3da9d513e30c24b1004ba3870107194fa937"
+    "9d6af24033aaf5380de301543fa08f16c7e2f10459b9f35d6f28e5d92a1dc40e",
+    "eval.csv": "15e1780310b3127f6fe1f8ba74aa4537752d2cd64ae697f38ddb2a752e6ace9b"
+    "edfecf8948e3d393170e8e0a619243c04fb1c5de400036e6a33ed50acc916466",
+    "confusion.csv": "d35689a120599fd503067b7da80fb3c6e21a62f9b107bc3b857a9e9eccfad2e7"
+    "c800a1935c22f7eba266a5a7ec0da0dd4c6aa7cd6cdc7c5f55c94621f9bb0967",
+}
+
+
+def test_golden_csv_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("AMIMV_SEED", raising=False)
+    run = tmp_path / "run"
+    assert main(["analyze", SMALL_SYNTH, "--out", str(run)]) == 0
+    args = ["--dataset", SMALL_SYNTH, "--epochs", "2", "--batch_size", "8"]
+    assert main(["pretrain", "--out", str(run), *args]) == 0
+    assert main(["probe", str(run), SMALL_SYNTH, "--epochs", "5"]) == 0
+    digests = {name: hashlib.blake2b((run / name).read_bytes()).hexdigest() for name in _GOLDEN_CSVS}
+    assert digests == _GOLDEN_CSVS

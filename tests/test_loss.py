@@ -43,6 +43,33 @@ class TestFuse:
             check_gradients(lambda x, y: T.sum_(T.exp(L.fuse(x, y, kind))), [a, b])
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", ["random", "unit"])
+    def test_mean_norm_bitwise_equals_normalized_mean(self, dtype, rows):
+        """l2_normalize cancels the mean's 1/2 exactly: output and both gradients are the bytes of
+        l2_normalize(scale(add(za, zb), 0.5)), the form mean_norm had, with one record fewer."""
+        rng = np.random.default_rng(7)
+        za, zb, weights = (rng.normal(size=(16, 128)).astype(dtype) for _ in range(3))
+        if rows == "unit":
+            za, zb = (z / np.linalg.norm(z, axis=1, keepdims=True) for z in (za, zb))
+        results = []
+        for fuse in (
+            lambda a, b: L.fuse(a, b, "mean_norm"),
+            lambda a, b: T.l2_normalize(T.scale(T.add(a, b), 0.5)),
+        ):
+            a, b = T.Tensor(za, requires_grad=True), T.Tensor(zb, requires_grad=True)
+            with T.Tape() as tape:
+                out = fuse(a, b)
+                loss = T.sum_(T.mul(out, T.Tensor(weights)))
+            T.backward(loss, tape)
+            results.append((out.data, a.grad, b.grad, len(tape.records)))
+        new, old = results
+        for x, y in zip(new[:3], old[:3]):
+            assert x.dtype == y.dtype == dtype
+            np.testing.assert_array_equal(x, y)
+        assert new[3] == old[3] - 1
+
+
 class TestNtXentClosedForms:
     def test_n1_is_zero(self):
         assert L.nt_xent(t([[1.0, 0.0]]), t([[0.0, 1.0]]), tau=0.5).item() == 0.0

@@ -218,6 +218,26 @@ class TestBackward:
         T.backward(loss, tape)
         np.testing.assert_allclose(x.grad, [5.0])
 
+    def test_tape_opened_inside_no_grad_records_nothing(self):
+        x = t([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            with T.Tape() as tape:
+                y = T.mul(x, x)
+        assert tape.records == [] and y.record is None and not y.requires_grad
+
+    @pytest.mark.parametrize("context", [T.no_grad, T.Tape])
+    def test_stack_empty_after_an_exception(self, context):
+        with pytest.raises(ZeroDivisionError):
+            with T.Tape():
+                with context():
+                    raise ZeroDivisionError
+        assert T._TAPE_STACK == []
+        # a later tape records again
+        x = t([3.0], requires_grad=True)
+        with T.Tape() as tape:
+            T.mul(x, x)
+        assert len(tape.records) == 1
+
 
 RNG = np.random.default_rng(2024)
 
@@ -655,6 +675,38 @@ def test_group_norm_needs_whole_groups():
 def test_linear_shape_mismatch():
     with pytest.raises(DimensionError, match="linear"):
         T.linear(t(np.ones((2, 3))), t(np.ones((3, 4))), t(np.ones(3)))
+
+
+@pytest.mark.parametrize("x_shape", [(3,), (2, 3, 2, 2)], ids=["1d", "chw-mismatch"])
+def test_linear_rejects_x_that_is_not_n_by_d(x_shape):
+    with pytest.raises(DimensionError, match="linear"):
+        T.linear(t(np.ones(x_shape)), t(np.ones((3, 4))), t(np.ones(4)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_on_4d_input_equals_linear_on_its_reshape(dtype):
+    """linear reads x [N,C,H,W] as [N,C*H*W]: output and the three gradients are the bytes of the reshape
+    followed by linear, with one record fewer, and x's gradient comes back in x's shape."""
+    rng = np.random.default_rng(5)
+    arrays = [rng.normal(size=s).astype(dtype) for s in ((6, 4, 3, 3), (36, 5), (5,), (6, 5))]
+    results = []
+    for flatten in (False, True):
+        x, w, b = (T.Tensor(a, requires_grad=True) for a in arrays[:3])
+        with T.Tape() as tape:
+            y = T.linear(T.reshape(x, (6, 36)) if flatten else x, w, b)
+            loss = T.sum_(T.mul(y, T.Tensor(arrays[3])))
+        T.backward(loss, tape)
+        results.append((y.data, x.grad, w.grad, b.grad, len(tape.records)))
+    new, old = results
+    for a, b in zip(new[:4], old[:4]):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+    assert new[1].shape == (6, 4, 3, 3) and new[4] == old[4] - 1
+
+
+def test_linear_gradcheck_on_4d_input():
+    x, w, b = _shapes([(3, 2, 2, 3), (12, 4), (4,)])
+    check_gradients(lambda x, w, b: T.sum_(T.mul(y := T.linear(x, w, b), y)), [x, w, b])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from amimv import model as M
+from amimv import tensor as T
 from amimv import trainer as TR
 from amimv.datasets import make_synthetic_longtail
 from amimv.errors import ContractError, ValidationError
@@ -279,3 +280,20 @@ def test_golden_checkpoint_digest(tmp_path, run, batch_size, steps):
 def test_golden_checkpoint_digest_at_a_visible_rate(tmp_path):
     digests = _golden_digests(tmp_path, 1, batch_size=32, arch="small_residual", warmup_start=0.05)
     assert digests == _GOLDEN_VISIBLE_STEP
+
+
+@pytest.mark.parametrize(
+    "run,records", [("tiny", 39), ("simclr_baseline", 37), ("small_residual", 93)]
+)
+def test_step_record_count(tmp_path, monkeypatch, run, records):
+    """One training step's tape: a recorded tiny pass is 13 records (a small_residual one 40), the fused
+    NT-Xent adds 2 for the query fusion and 11 for the loss; the key passes record nothing."""
+    counts, backward = [], T.backward
+
+    def spy(loss, tape):
+        counts.append(len(tape.records))
+        backward(loss, tape)
+
+    monkeypatch.setattr(T, "backward", spy)
+    TR.pretrain(tiny_run_config(tmp_path, epochs=1, batch_size=32, **_GOLDEN_RUNS[run]))
+    assert counts == [records]
