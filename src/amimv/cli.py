@@ -81,6 +81,8 @@ def _load_run(run_dir: str, spec: str, seed: int) -> tuple[M.EncoderPair, ImageD
 
 def _check_out(out: str) -> None:
     """Fail before any compute where _write could not make or write the directory `out`."""
+    if not out:  # the files would land in the working directory
+        raise ValidationError("--out must name a directory, got ''")
     path = os.path.abspath(out)
     while not os.path.lexists(path):
         path = os.path.dirname(path)
@@ -142,7 +144,7 @@ def cmd_pretrain(args: argparse.Namespace) -> None:
                 raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
     with _input():
         overrides = _parse_overrides(args.extra)
-        if args.out:
+        if args.out is not None:
             overrides["out_dir"] = args.out
         if "seed" not in data and "seed" not in overrides:
             overrides["seed"] = str(_env_seed(None))
@@ -154,7 +156,7 @@ def cmd_pretrain(args: argparse.Namespace) -> None:
 
 
 def cmd_probe(args: argparse.Namespace) -> None:
-    out = args.out or args.run_dir
+    out = args.run_dir if args.out is None else args.out
     with _input():
         _check_out(out)
         seed = _env_seed(args.seed)
@@ -178,7 +180,7 @@ def _is_accuracy(value) -> bool:
 
 
 def cmd_report(args: argparse.Namespace) -> None:
-    out = args.out or args.run_dir
+    out = args.run_dir if args.out is None else args.out
     with _input():
         _check_out(out)
     with _input("eval.json: "):

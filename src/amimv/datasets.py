@@ -199,14 +199,18 @@ def resolve_dataset(spec: str, seed: int = 0) -> ImageDataset:
 # statistics and histograms
 
 
+def to_float_nhwc(images: np.ndarray) -> np.ndarray:
+    """uint8 ``[N,H,W]`` or ``[N,H,W,C]`` images as float64 ``[N,H,W,C]`` pixels in [0,1]."""
+    x = images.astype(np.float64) / 255.0
+    return x[..., None] if x.ndim == 3 else x
+
+
 def compute_channel_stats(dataset: ImageDataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and population std of train pixels in [0,1] scale."""
     images, _ = dataset.splits["train"]
     if images.shape[0] == 0:
         raise ValidationError("train split is empty")
-    x = images.astype(np.float64) / 255.0
-    if x.ndim == 3:
-        x = x[..., None]
+    x = to_float_nhwc(images)
     mean = x.mean(axis=(0, 1, 2))
     std = np.maximum(x.std(axis=(0, 1, 2)), 1e-6)
     return mean, std

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,15 +48,7 @@ class EvalReport:
     confusion: np.ndarray  # rows: truth, columns: prediction
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "accuracy": self.accuracy,
-                "per_class_accuracy": self.per_class_accuracy,
-                "macro_auc": self.macro_auc,
-                "confusion": self.confusion.tolist(),
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self) | {"confusion": self.confusion.tolist()}, indent=2)
 
     def to_csv(self) -> str:
         rows = [["metric", "class", "value"], ["accuracy", "", f"{self.accuracy:.6f}"],

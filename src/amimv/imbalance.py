@@ -9,7 +9,7 @@ three-way category label with a per-dataset override map.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,15 +60,8 @@ class ImbalanceReport:
     category: str | None = None
 
     def to_json(self) -> str:
-        d = {
-            "ir": round(self.ir, 4),
-            "cv": round(self.cv, 4),
-            "ne": round(self.ne, 4),
-            "gi": round(self.gi, 4),
-            "rcr": round(self.rcr, 4),
-            "total": self.total,
-            "category": self.category,
-        }
+        """Every field; the five measures rounded to 4 decimals."""
+        d = {k: round(v, 4) if isinstance(v, float) else v for k, v in asdict(self).items()}
         return json.dumps(d, indent=2)
 
     def to_csv_row(self, name: str = "") -> str:

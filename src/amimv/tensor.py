@@ -316,22 +316,8 @@ def sqrt(a: Tensor) -> Tensor:
 # reductions and shape ops
 
 
-def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    shape, dtype = a.shape, a.dtype
-
-    def bwd(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
-
-    return _make(out, (a,), bwd)
-
-
-def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.shape[axis]
+def _reduction_grad(a: Tensor, axis: int | None, keepdims: bool, count: int) -> Callable:
+    """Backward of a sum over ``axis`` divided by ``count``: a sum is the mean with count 1."""
     shape, dtype = a.shape, a.dtype
 
     def bwd(g):
@@ -340,7 +326,16 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
-    return _make(out, (a,), bwd)
+    return bwd
+
+
+def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), _reduction_grad(a, axis, keepdims, 1))
+
+
+def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    count = a.data.size if axis is None else a.shape[axis]
+    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), _reduction_grad(a, axis, keepdims, count))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

@@ -152,17 +152,17 @@ class RunConfig:
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValidationError(f"warmup_fraction {self.warmup_fraction} outside [0,1]")
         losses.LossConfig(self.tau, self.fusion)  # rejects a bad tau or fusion by name
-        if not 0.0 <= self.blur_probability <= 1.0:
-            raise ValidationError(f"blur_probability {self.blur_probability} outside [0,1]")
+        scale = self.crop_scale
+        if not (isinstance(scale, (tuple, list)) and len(scale) == 2):
+            raise ValidationError(f"crop_scale must be lo:hi with 0 < lo <= hi <= 1, got {scale}")
+        # rejects a crop_scale range or blur_probability outside its bounds by name
+        AugmentConfig(crop_scale=tuple(scale), blur_probability=self.blur_probability)
         for key in ("base_lr", "weight_decay", "warmup_start"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(f"{key} must be finite and >= 0, got {value}")
         if not 0.0 <= self.sgd_momentum < 1.0:  # at 1 or more the velocity v <- mu*v + g grows without bound
             raise ValidationError(f"sgd_momentum {self.sgd_momentum} outside [0,1)")
-        scale = self.crop_scale
-        if not (isinstance(scale, (tuple, list)) and len(scale) == 2 and 0 < scale[0] <= scale[1] <= 1):
-            raise ValidationError(f"crop_scale must be lo:hi with 0 < lo <= hi <= 1, got {scale}")
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -262,18 +262,14 @@ class TrainResult:
     pair: M.EncoderPair
 
 
-def _epoch_batches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order) - batch_size + 1, batch_size):
-        yield order[start : start + batch_size]
-
-
 def _write_log(out_dir: str, rows: list[tuple[int, float, float]]) -> None:
     text = csv_text([["epoch", "mean_loss", "lr"]] + [[e, f"{m:.8f}", f"{lr:.8f}"] for e, m, lr in rows])
     atomic_write_text(os.path.join(out_dir, "log.csv"), text)
 
 
 def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainResult:
-    """Run the full pretraining loop; writes log.csv, checkpoint, run.json.
+    """Run the full pretraining loop; writes the checkpoint, log.csv and, last, run.json, so a run that
+    stops early leaves no run.json describing a checkpoint it never wrote.
 
     An out_dir holding an ``epoch_<n>/`` snapshot that this run's snapshot_epochs would not rewrite is
     refused before the dataset is resolved: beside this run's checkpoint it would pass for one of its own.
@@ -313,11 +309,6 @@ def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainRes
         warmup_start=config.warmup_start,
     )
 
-    atomic_write_text(
-        os.path.join(config.out_dir, "run.json"),
-        json.dumps(asdict(config) | {"view_size": view_size}, indent=2),
-    )
-
     # the mode picks the query views, the key views and the objective; the step below is one path
     if config.mode == "amimv":
         objective = partial(losses.amimv_loss, config=loss_cfg)
@@ -331,10 +322,11 @@ def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainRes
             # batch -2 keeps the shuffle keys apart from the view keys (batch >= 0)
             order = stream.permutation(images.shape[0], epoch, -2, 0)
             batch_losses = []
-            lr = 0.0
-            for batch_index, idx in enumerate(_epoch_batches(order, config.batch_size)):
+            # drop-last: the len(order) % batch_size images at the tail of the shuffle are not a batch
+            for batch_index in range(steps_per_epoch):
                 lr = lr_at(pair.step, schedule)
-                batch_images = images[idx]
+                start = batch_index * config.batch_size
+                batch_images = images[order[start : start + config.batch_size]]
                 if config.mode == "amimv":
                     batch = build_amimv_batch(batch_images, stats, aug_cfg, stream, epoch, batch_index)
                     queries, keys = (batch.v1n, batch.v2a), (batch.v1a, batch.v2n)
@@ -373,4 +365,8 @@ def pretrain(config: RunConfig, dataset: ImageDataset | None = None) -> TrainRes
 
     M.save_checkpoint(pair, config.out_dir)
     _write_log(config.out_dir, log_rows)
+    atomic_write_text(
+        os.path.join(config.out_dir, "run.json"),
+        json.dumps(asdict(config) | {"view_size": view_size}, indent=2),
+    )
     return TrainResult(epoch_losses=[row[1] for row in log_rows], pair=pair)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import to_float_nhwc
 from .errors import ContractError, ValidationError
 from .tensor import Tensor
 
@@ -55,9 +56,10 @@ class AugmentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-        for p in (self.jitter_probability, self.flip_probability, self.blur_probability):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"probability {p} outside [0,1]")
+        for name in ("jitter_probability", "flip_probability", "blur_probability"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{name} {value} outside [0,1]")
         for name in ("crop_scale", "crop_aspect", "blur_sigma"):
             lo, hi = getattr(self, name)
             if not 0.0 < lo <= hi:
@@ -256,11 +258,6 @@ def adjust_hue(img: np.ndarray, delta_turns) -> np.ndarray:
 # view pipelines
 
 
-def _to_float_nhwc(images: np.ndarray) -> np.ndarray:
-    x = images.astype(np.float64) / 255.0
-    return x[..., None] if x.ndim == 3 else x
-
-
 def _to_tensor(x: np.ndarray, stats) -> Tensor:
     """[N,H,W,C] floats -> float32 [N,C,H,W], z-scored unless stats is None."""
     if stats is not None:
@@ -271,7 +268,7 @@ def _to_tensor(x: np.ndarray, stats) -> Tensor:
 
 def normalize_view(images: np.ndarray, stats, size: int) -> Tensor:
     """Rescale to [0,1], resize, and z-score with train statistics."""
-    x = _to_float_nhwc(images)
+    x = to_float_nhwc(images)
     n, h, w, _ = x.shape
     if (h, w) != (size, size):
         x = bilinear_resize(x, np.tile([0, 0, h, w], (n, 1)), size, size)
@@ -323,7 +320,7 @@ def augment_view(images: np.ndarray, stats, config: AugmentConfig, keys: np.ndar
     from its image's own key and each slot drawn whether or not its
     transform fires, so a view does not depend on the rest of the batch.
     """
-    x = _to_float_nhwc(images)
+    x = to_float_nhwc(images)
     n, h, w, _ = x.shape
     if len(keys) != n:
         raise ContractError(f"augment_view got {len(keys)} keys for {n} images")
@@ -380,9 +377,7 @@ def build_amimv_batch(
 ) -> AMIMVBatch:
     """Emit the four per-image view tensors and the pairing permutation."""
     n = images.shape[0]
-    if n < 2:
-        raise ValidationError(f"an AMIMV batch needs >= 2 images, got {n}")
-    pairing = random_derangement(n, rng, epoch, batch)
+    pairing = random_derangement(n, rng, epoch, batch)  # rejects n < 2
     v1n = normalize_view(images, stats, config.crop_output)
     v1a = augment_view(images, stats, config, rng.items(n, epoch, batch, 1))
     v2a = augment_view(images[pairing], stats, config, rng.items(n, epoch, batch, 2))

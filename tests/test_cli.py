@@ -356,12 +356,14 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert err == "error: query parameter 'conv1.w' is not finite after step 1\n"
         assert not (out / "checkpoint.bin").exists()
+        assert not (out / "run.json").exists()  # it would describe the checkpoint that was not written
 
     def test_diverging_run_exit_4_one_line(self, tmp_path, capsys):
         # the suite turns warnings into errors, so an overflow warning would raise out of main
         assert main(["pretrain", "--out", str(tmp_path / "run"), *_DIVERGING]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+        assert not (tmp_path / "run" / "run.json").exists()
 
     def test_diverging_run_as_a_process_prints_one_line(self, tmp_path):
         """The console entry point under default warning filters, as a user runs it: no warning lines."""
@@ -683,8 +685,8 @@ class TestBoundary:
         assert capsys.readouterr().err.count("\n") == 1
         assert out.read_text() == "keep" and os.listdir(tmp_path) == ["taken"]
 
-    @pytest.mark.parametrize("command", ["analyze", "pretrain", "probe", "report"])
-    def test_out_checked_before_compute(self, charts_dir, tmp_path, capsys, monkeypatch, command):
+    @staticmethod
+    def _forbid_compute(monkeypatch):
         from amimv import cli
 
         def no_compute(*args, **kwargs):
@@ -695,6 +697,10 @@ class TestBoundary:
         for name in ("extract_features", "linear_probe", "pca_project"):
             monkeypatch.setattr(cli.E, name, no_compute)
         monkeypatch.setattr(cli.TR, "resolve_dataset", no_compute)
+
+    @pytest.mark.parametrize("command", ["analyze", "pretrain", "probe", "report"])
+    def test_out_checked_before_compute(self, charts_dir, tmp_path, capsys, monkeypatch, command):
+        self._forbid_compute(monkeypatch)
         out = tmp_path / "taken"
         out.write_text("keep")
         # probe at its default --epochs
@@ -706,6 +712,21 @@ class TestBoundary:
             err = capsys.readouterr().err
             assert err.startswith(f"error: --out {target}: ") and err.count("\n") == 1
         assert out.read_text() == "keep" and os.listdir(tmp_path) == ["taken"]
+
+    @pytest.mark.parametrize("command", ["analyze", "pretrain", "probe", "report"])
+    def test_empty_out_exit_2_before_compute(self, charts_dir, tmp_path, capsys, monkeypatch, command):
+        """An empty --out names no directory: no subcommand falls back to the working directory, the
+        default run directory or run_dir."""
+        self._forbid_compute(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        args = {"analyze": [SMALL_SYNTH], "pretrain": ["--dataset", SMALL_SYNTH]}.get(
+            command, [str(charts_dir), SMALL_SYNTH]
+        )
+        before = sorted(os.listdir(charts_dir))
+        assert main([command, *args, "--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("must name a directory, got ''\n") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == [] and sorted(os.listdir(charts_dir)) == before
 
     def test_report_channel_mismatch_exit_2(self, tmp_path, capsys):
         from amimv import model as M
@@ -844,12 +865,39 @@ _GOLDEN_CSVS = {
 }
 
 
-def test_golden_csv_bytes(tmp_path, monkeypatch):
-    monkeypatch.delenv("AMIMV_SEED", raising=False)
-    run = tmp_path / "run"
-    assert main(["analyze", SMALL_SYNTH, "--out", str(run)]) == 0
-    args = ["--dataset", SMALL_SYNTH, "--epochs", "2", "--batch_size", "8"]
-    assert main(["pretrain", "--out", str(run), *args]) == 0
-    assert main(["probe", str(run), SMALL_SYNTH, "--epochs", "5"]) == 0
-    digests = {name: hashlib.blake2b((run / name).read_bytes()).hexdigest() for name in _GOLDEN_CSVS}
-    assert digests == _GOLDEN_CSVS
+# blake2b of each JSON file the same commands write; run.json records --out as given, here "run"
+_GOLDEN_JSONS = {
+    "imbalance.json": "bc4f851bc61a861c10e0ba1103bff3256f2e7196c41b3682a591510cb47a084b"
+    "8bd37b705866c57c45730ccc0e9f0335c27a3494c892a9056d90b57e1e894eb5",
+    "manifest.json": "2cee46fa7ad2fb2cc602423961c08b943c9bc1ebd87d9cc0f38eb97b42cebfee"
+    "675ad5b5cf6822f98de8fa862fbf1d1675f31e5fd8b0a6f4c999b399a388d76d",
+    "run.json": "ea612fd98724f2cd69bb6d0a814f3508af67ec821f90afc3d49b1b970d84e71e"
+    "1003b23304f206c6442551753df809851dd56b7fff1bb4961fd460989a6758c5",
+    "eval.json": "2018bb8a0961ec3fa4ca291168a1345adf737d8d9f1d3b73c497a8a082eb7e82"
+    "ecbcbe6bc2caa07d8412deb99fd5861416508495c05e1e1e00f6a446a9be8973",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("AMIMV_SEED", raising=False)
+        mp.chdir(root)
+        assert main(["analyze", SMALL_SYNTH, "--out", "run"]) == 0
+        args = ["--dataset", SMALL_SYNTH, "--epochs", "2", "--batch_size", "8"]
+        assert main(["pretrain", "--out", "run", *args]) == 0
+        assert main(["probe", "run", SMALL_SYNTH, "--epochs", "5"]) == 0
+    return root / "run"
+
+
+def _digests(run, names) -> dict[str, str]:
+    return {name: hashlib.blake2b((run / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_golden_csv_bytes(golden_run):
+    assert _digests(golden_run, _GOLDEN_CSVS) == _GOLDEN_CSVS
+
+
+def test_golden_json_bytes(golden_run):
+    assert _digests(golden_run, _GOLDEN_JSONS) == _GOLDEN_JSONS

@@ -110,6 +110,9 @@ class TestGaussianKernel:
         ("crop_scale", (0.8, 0.5)),  # unordered ranges name their field
         ("crop_aspect", (1.2, 0.9)),
         ("blur_sigma", (1.0, 0.5)),
+        ("jitter_probability", 1.5),
+        ("flip_probability", -0.1),
+        ("blur_probability", float("nan")),
     ],
 )
 def test_augment_config_rejects_out_of_range(field, value):
