@@ -56,8 +56,8 @@ def bar_chart(values: list[float], labels: list[str], title: str) -> str:
     return _svg(width, height, body, title)
 
 
-def heatmap(matrix: np.ndarray, title: str, row_label: str = "true", col_label: str = "predicted") -> str:
-    """Count heatmap with the integer value printed in every cell."""
+def heatmap(matrix: np.ndarray, title: str) -> str:
+    """Count heatmap with the integer value printed in every cell: true class by row, predicted by column."""
     matrix = np.asarray(matrix)
     rows, cols = matrix.shape
     cell = max(36, min(64, 480 // max(rows, cols)))
@@ -80,8 +80,8 @@ def heatmap(matrix: np.ndarray, title: str, row_label: str = "true", col_label: 
         body.append(_text(left - 8, top + r * cell + cell / 2 + 4, str(r), anchor="end"))
     for c in range(cols):
         body.append(_text(left + c * cell + cell / 2, top + rows * cell + 16, str(c)))
-    body.append(_text(left - 40, top + rows * cell / 2, row_label, size=12))
-    body.append(_text(left + cols * cell / 2, height - 10, col_label, size=12))
+    body.append(_text(left - 40, top + rows * cell / 2, "true", size=12))
+    body.append(_text(left + cols * cell / 2, height - 10, "predicted", size=12))
     return _svg(width, height, body, title)
 
 

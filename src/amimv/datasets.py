@@ -102,7 +102,7 @@ def write_npy(arr: np.ndarray) -> bytes:
     return out.getvalue()
 
 
-def load_npz(path: str, name: str | None = None) -> ImageDataset:
+def load_npz(path: str) -> ImageDataset:
     """Load a six-member NPZ archive into an ImageDataset."""
     try:
         zf = zipfile.ZipFile(path)
@@ -155,7 +155,7 @@ def load_npz(path: str, name: str | None = None) -> ImageDataset:
     num_classes = int(all_labels.max()) + 1
     if num_classes < 2:
         raise ValidationError(f"need at least 2 classes for imbalance analysis, found {num_classes}")
-    ds = ImageDataset(name=name or str(path), splits=splits, num_classes=num_classes)
+    ds = ImageDataset(name=str(path), splits=splits, num_classes=num_classes)
     ds.channel_stats = compute_channel_stats(ds)
     return ds
 

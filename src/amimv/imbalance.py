@@ -9,7 +9,7 @@ three-way category label with a per-dataset override map.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,6 +18,12 @@ from .errors import ValidationError
 from .fsutil import csv_text
 
 CATEGORIES = ("FB", "PI", "I")
+
+# The heuristic rule: "I" from an imbalance ratio of IR_IMBALANCED on; "PI" from IR_PARTIAL on, or when the
+# rarest class has fewer than MIN_COUNT_SMALL images; "FB" otherwise.
+IR_IMBALANCED = 7.0
+IR_PARTIAL = 4.0
+MIN_COUNT_SMALL = 2000
 
 # Published categories for the MedMNIST 2D benchmark; no single monotone
 # rule in the five metrics reproduces all of them, so they ship as
@@ -35,16 +41,6 @@ MEDMNIST_CATEGORY_OVERRIDES = {
     "tissuemnist": "I",
     "dermamnist": "I",
 }
-
-
-@dataclass
-class CategoryThresholds:
-    """Knobs for the heuristic FB/PI/I rule."""
-
-    ir_imbalanced: float = 7.0
-    ir_partial: float = 4.0
-    min_count_small: int = 2000
-    overrides: dict[str, str] = field(default_factory=lambda: dict(MEDMNIST_CATEGORY_OVERRIDES))
 
 
 @dataclass
@@ -97,20 +93,15 @@ def imbalance_metrics(hist: LabelHistogram) -> ImbalanceReport:
     return ImbalanceReport(ir=ir, cv=cv, ne=ne, gi=gi, rcr=rcr, total=int(total))
 
 
-def categorize(
-    report: ImbalanceReport,
-    thresholds: CategoryThresholds | None = None,
-    dataset_name: str | None = None,
-) -> str:
-    """Heuristic FB/PI/I label; an explicit override map wins when named."""
-    th = thresholds or CategoryThresholds()
+def categorize(report: ImbalanceReport, dataset_name: str | None = None) -> str:
+    """Heuristic FB/PI/I label; the published MedMNIST label wins for a dataset it names."""
     if dataset_name:
         key = dataset_name.lower().removesuffix(".npz")
-        if key in th.overrides:
-            return th.overrides[key]
-    if report.ir >= th.ir_imbalanced:
+        if key in MEDMNIST_CATEGORY_OVERRIDES:
+            return MEDMNIST_CATEGORY_OVERRIDES[key]
+    if report.ir >= IR_IMBALANCED:
         return "I"
     min_count = round(report.rcr * report.total / 100.0)  # the rarest class's count, exactly
-    if report.ir >= th.ir_partial or min_count < th.min_count_small:
+    if report.ir >= IR_PARTIAL or min_count < MIN_COUNT_SMALL:
         return "PI"
     return "FB"

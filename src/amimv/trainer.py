@@ -140,6 +140,10 @@ class RunConfig:
             raise ValidationError("amimv mode needs batch_size >= 2")
         if self.view_size < 0:
             raise ValidationError(f"view_size must be >= 0 (0: the dataset's size), got {self.view_size}")
+        # int64, like the seed: far past it the schedule's step count or a layer's size overflows a float
+        for key in ("epochs", "view_size"):
+            if getattr(self, key) >= 2**63:
+                raise ValidationError(f"{key} must be < 2**63, got {getattr(self, key)}")
         divisor = M.INPUT_DIVISOR[self.arch]
         if self.view_size % divisor:
             raise ValidationError(
@@ -168,44 +172,6 @@ class RunConfig:
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def config_from_dict(data: dict, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Build a RunConfig from JSON data plus dotted-key CLI overrides."""
-    valid = {f.name for f in fields(RunConfig)}
-    merged = dict(data)
-    for key, raw in (overrides or {}).items():
-        merged[key] = raw
-    unknown = [k for k in merged if k not in valid]
-    if unknown:
-        raise ValidationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    defaults = RunConfig()
-    coerced = {}
-    for key, value in merged.items():
-        target = getattr(defaults, key)
-        if isinstance(value, str) and not isinstance(target, str):
-            value = _parse_string(key, value, target)
-        _check_type(key, value, target)
-        coerced[key] = tuple(value) if isinstance(target, tuple) else value
-    return RunConfig(**coerced)
-
-
-def _parse_string(key: str, value: str, target):
-    """Parse a CLI override (or a JSON string) into the type of the field's default."""
-    if isinstance(target, bool):
-        if value.lower() not in _BOOLEANS:
-            raise ValidationError(f"{key}: expected true/false/yes/no/1/0, got {value!r}")
-        return _BOOLEANS[value.lower()]
-    try:
-        if isinstance(target, int):
-            return int(value)
-        if isinstance(target, float):
-            return float(value)
-        if isinstance(target, tuple):
-            return tuple(float(x) for x in value.split(":"))
-        return [int(x) for x in value.split(":")] if value else []
-    except ValueError:
-        raise ValidationError(f"{key}: cannot parse {value!r}") from None
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -214,24 +180,57 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_type(key: str, value, target) -> None:
-    """JSON values arrive typed: each must match the type of the field's default."""
-    if isinstance(target, bool):
-        ok, expected = isinstance(value, bool), "true or false"
-    elif isinstance(target, int):
-        ok, expected = _is_int(value), "an integer"
-    elif isinstance(target, float):
-        ok, expected = _is_number(value), "a number"
-    elif isinstance(target, str):
-        ok, expected = isinstance(value, str), "a string"
-    elif isinstance(target, tuple):
-        ok = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
-        expected = "two numbers"
-    else:
-        ok = isinstance(value, list) and all(map(_is_int, value))
-        expected = "a list of integers"
-    if not ok:
-        raise ValidationError(f"{key}: expected {expected}, got {value!r}")
+def _to_float(value) -> float:
+    """A number as a float; an int past the float range reads as +-inf, as its decimal string does."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+# Per type of a field's default: which JSON values it takes, how a string (a CLI override, or a JSON string
+# for a field that is not one) parses, how a taken value is stored, and what a message calls the type.
+_KINDS = {
+    bool: (lambda v: isinstance(v, bool), lambda s: _BOOLEANS[s.lower()], bool, "true or false"),
+    int: (_is_int, int, int, "an integer"),
+    float: (_is_number, float, _to_float, "a number"),
+    str: (lambda v: isinstance(v, str), str, str, "a string"),
+    tuple: (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+        lambda s: tuple(map(float, s.split(":"))),
+        lambda v: tuple(map(_to_float, v)),
+        "two numbers",
+    ),
+    list: (
+        lambda v: isinstance(v, list) and all(map(_is_int, v)),
+        lambda s: list(map(int, s.split(":"))) if s else [],
+        list,
+        "a list of integers",
+    ),
+}
+
+
+def config_from_dict(data: dict, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Build a RunConfig from JSON data plus CLI overrides (field name to string), the overrides winning."""
+    merged = dict(data) | (overrides or {})
+    unknown = sorted(set(merged) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
+    defaults = RunConfig()
+    typed = {}
+    for key, value in merged.items():
+        kind = type(getattr(defaults, key))
+        accepts, parse, store, expected = _KINDS[kind]
+        if isinstance(value, str):
+            try:
+                value = parse(value)
+            except (ValueError, KeyError):
+                problem = "expected true/false/yes/no/1/0, got" if kind is bool else "cannot parse"
+                raise ValidationError(f"{key}: {problem} {value!r}") from None
+        if not accepts(value):
+            raise ValidationError(f"{key}: expected {expected}, got {value!r}")
+        typed[key] = store(value)
+    return RunConfig(**typed)
 
 
 def resolve_view_size(config: RunConfig, dataset: ImageDataset) -> int:

@@ -222,6 +222,7 @@ class TestPretrain:
             ["--sgd_momentum", "1"],
             ["--sgd_momentum", "5"],
             ["--base_lr", "inf"],
+            ["--config", {"tau": 10**400}],  # past the float range: inf, not an OverflowError
         ],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, flags):
@@ -260,6 +261,11 @@ class TestPretrain:
         field=st.sampled_from([f.name for f in dataclasses.fields(RunConfig) if f.name != "out_dir"]),
         value=_BAD_JSON_VALUES,
     )
+    @example(field="tau", value=10**400)
+    @example(field="base_lr", value=10**400)
+    @example(field="weight_decay", value=10**400)
+    @example(field="epochs", value=10**400)
+    @example(field="view_size", value=4 * 10**400)
     @settings(max_examples=200, deadline=None)
     def test_no_config_value_ends_in_exit_1(self, field, value):
         # out_dir is left out: --out below overrides it
@@ -273,6 +279,19 @@ class TestPretrain:
                 code = main(["pretrain", "--config", cfg, "--out", os.path.join(tmp, "run")])
         assert code in (0, 2, 3, 4)
         assert err.getvalue().count("\n") <= 1
+
+    def test_json_and_flag_spellings_write_equal_run_json(self, tmp_path, monkeypatch):
+        # a JSON int for a float setting is read as a float, as its flag spelling is
+        base = ["--dataset", SMALL_SYNTH, "--epochs", "1", "--batch_size", "8"]
+        (tmp_path / "cfg.json").write_text(json.dumps({"tau": 1, "crop_scale": [1, 1]}))
+        spellings = {"json": ["--config", "../cfg.json"], "flags": ["--tau", "1", "--crop_scale", "1:1"]}
+        for name, flags in spellings.items():
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["pretrain", "--out", "run", *base, *flags]) == 0
+        assert (tmp_path / "json" / "run" / "run.json").read_bytes() == (
+            tmp_path / "flags" / "run" / "run.json"
+        ).read_bytes()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AMIMV_SEED", "7")
@@ -901,3 +920,21 @@ def test_golden_csv_bytes(golden_run):
 
 def test_golden_json_bytes(golden_run):
     assert _digests(golden_run, _GOLDEN_JSONS) == _GOLDEN_JSONS
+
+
+# blake2b of each SVG that report writes from the golden run's probe outputs, at seed 0
+_GOLDEN_SVGS = {
+    "per_class.svg": "4c9c3d080b19a6577363823cea3db04f9096f68f7fd29219e553bb796898211d"
+    "c9bbe04ffd3347a4c0d7ed791f429d3cd1a2cf3dfdd7489d0d95f881747bd511",
+    "confusion.svg": "8418a4f46b519d52b71af19c9a71ff7b7db969b8b62846315e52f587ce5c9ecf"
+    "67986d0603d0d67ca3c5a69576ff98a065fee6d36f8c81cffdc7d89749cd901e",
+    "embedding.svg": "022a2338db241373b45b952cb909e5eb1cc0426f8842eee1a1b046c59f43d9b2"
+    "cda99f32ef31c1af5220fee743c8c7e5ce93d988cefa28e3400dd46d0fd14211",
+}
+
+
+def test_golden_svg_bytes(golden_run, monkeypatch):
+    monkeypatch.delenv("AMIMV_SEED", raising=False)
+    out = golden_run.parent / "svg"
+    assert main(["report", str(golden_run), SMALL_SYNTH, "--out", str(out)]) == 0
+    assert _digests(out, _GOLDEN_SVGS) == _GOLDEN_SVGS

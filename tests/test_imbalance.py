@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amimv import imbalance
 from amimv.datasets import LabelHistogram
 from amimv.errors import ValidationError
-from amimv.imbalance import CategoryThresholds, ImbalanceReport, categorize, imbalance_metrics
+from amimv.imbalance import ImbalanceReport, categorize, imbalance_metrics
 
 # MedMNIST DermaMNIST train-split label counts (7 classes, total 7007)
 DERMA_TRAIN_COUNTS = [228, 359, 769, 80, 779, 4693, 99]
@@ -84,32 +85,31 @@ class TestProperties:
 class TestCategorize:
     def test_derma_is_imbalanced_by_rule(self):
         r = imbalance_metrics(LabelHistogram(DERMA_TRAIN_COUNTS))
-        th = CategoryThresholds(overrides={})
-        assert categorize(r, th) == "I"
+        assert categorize(r) == "I"
 
     def test_balanced_large_is_fb(self):
         r = ImbalanceReport(ir=1.0, cv=0.0, ne=1.0, gi=0.0, rcr=25.0, total=40000)
-        assert categorize(r, CategoryThresholds(overrides={})) == "FB"
+        assert categorize(r) == "FB"
 
     def test_retina_ir_crosses_imbalanced(self):
         r = ImbalanceReport(ir=7.36, cv=0.74, ne=0.87, gi=0.34, rcr=6.11, total=1080)
-        assert categorize(r, CategoryThresholds(overrides={})) == "I"
+        assert categorize(r) == "I"
 
     def test_override_map_wins(self):
         # OCTMNIST's published label disagrees with the heuristic rule
         r = ImbalanceReport(ir=5.93, cv=0.75, ne=0.83, gi=0.35, rcr=7.95, total=97477)
         assert categorize(r, dataset_name="octmnist") == "FB"
-        assert categorize(r, CategoryThresholds(overrides={})) == "PI"
+        assert categorize(r) == "PI"
 
 
-def _reference_category(report, th, min_count):
+def _reference_category(report, min_count):
     """The rule as first written, with its redundant clauses, on the exact rarest-class count."""
-    if report.ir >= th.ir_imbalanced:
+    if report.ir >= imbalance.IR_IMBALANCED:
         return "I"
     if (
-        (report.rcr >= 20.0 and min_count < th.min_count_small)
-        or th.ir_partial <= report.ir < th.ir_imbalanced
-        or min_count < th.min_count_small
+        (report.rcr >= 20.0 and min_count < imbalance.MIN_COUNT_SMALL)
+        or imbalance.IR_PARTIAL <= report.ir < imbalance.IR_IMBALANCED
+        or min_count < imbalance.MIN_COUNT_SMALL
     ):
         return "PI"
     return "FB"
@@ -120,13 +120,12 @@ class TestCategorizeRule:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_rule(self, counts):
         report = imbalance_metrics(LabelHistogram(counts))
-        th = CategoryThresholds(overrides={})
-        assert categorize(report, th) == _reference_category(report, th, min(counts))
+        assert categorize(report) == _reference_category(report, min(counts))
 
     def test_rarest_count_at_the_small_threshold_is_exact(self):
         # rcr / 100 * total reads 1999.9999999999998 here, which would make it PI
         report = imbalance_metrics(LabelHistogram([2000, 2012]))
-        assert categorize(report, CategoryThresholds(overrides={})) == "FB"
+        assert categorize(report) == "FB"
 
 
 class TestSerialization:

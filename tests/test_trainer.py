@@ -1,8 +1,10 @@
 """Schedules, optimizers, and the pretraining loop."""
 
 import csv
+import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from amimv import model as M
 from amimv import tensor as T
 from amimv import trainer as TR
+from amimv.cli import _parse_overrides
 from amimv.datasets import make_synthetic_longtail
 from amimv.errors import ContractError, ValidationError
 from amimv.tensor import Tensor
@@ -124,6 +127,70 @@ class TestConfig:
         # before any dataset is resolved, and by name rather than as a missing divisor
         with pytest.raises(ValidationError, match="unknown arch 'resnet'"):
             TR.config_from_dict({}, {"arch": "resnet"})
+
+
+# CLI strings over every setting: valid, boundary and malformed spellings of each kind
+_CLI_STRINGS = [
+    "", " ", "0", "1", "-1", "2", "7", "64", "28", "30", "1_000", " 7 ", "3.0", "0.5", "1.5", "-0.1", "1e-4",
+    "1e400", "nan", "inf", "-inf", "9223372036854775807", "true", "YES", "False", "no", "on", "flase", "1:1",
+    "0:1", "1:2", "0.2:1", "0.8:0.5", "-1:-0.5", "1:2:3", "1:", ":1", "a", "a:b", "amimv", "simclr_baseline",
+    "tiny", "small_residual", "resnet", "before", "after", "mean_norm", "bogus",
+]
+# JSON values of every JSON type, over every setting
+_JSON_VALUES = [
+    None, True, False, 0, 1, -1, 2, 7, 64, 2**63 - 1, 0.0, 0.5, 1.0, 2.0, 1.5, -0.5, 1e-4,
+    float("nan"), float("inf"), float("-inf"), "", "x", "1", "1:1", "YES", "0.2:1", "amimv",
+    [], [1], [1, 2], [2, 1], [1.0, 1.0], [0.5, 1], [0.2, 1.0], [1, 2, 3], [1.5], ["a", "b"], [True, False],
+    [None], [[1]], {}, {"a": 1},
+]
+
+
+def _settings(value):
+    """A setting with every number as a float, so an int and a float of one value compare equal."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_settings, value))
+    return float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else value
+
+
+def _outcome(data, tokens=()):
+    try:
+        config = TR.config_from_dict(data, _parse_overrides(list(tokens)))
+    except ValidationError as exc:  # a number in the message as a float too: "got 2" and "got 2.0" match
+        return "error: " + re.sub(r"\d+(\.\d+)?(e[+-]?\d+)?", lambda m: repr(float(m[0])), str(exc))
+    return repr({f.name: _settings(getattr(config, f.name)) for f in dataclasses.fields(config)})
+
+
+def _config_corpus():
+    keys = [f.name for f in dataclasses.fields(TR.RunConfig)]
+    for key in keys:
+        for raw in _CLI_STRINGS:
+            yield {}, (f"--{key}", raw)
+            yield {}, (f"--{key.replace('_', '-')}={raw}",)
+        for value in _JSON_VALUES:
+            yield {key: value}, ()
+            yield {key: value}, (f"--{key}", "2")  # the flag wins over the file
+    # 2**63 lies past the seed range; epochs and view_size refuse it too, as test_cli's huge-int cases test
+    yield {"seed": 2**63}, ()
+    yield {}, ("--seed", "9223372036854775808")
+    yield {"foo": 1, "bar": 2}, ("--baz", "1")
+    yield {"epochs": 3, "snapshot_epochs": [1, 3]}, ()
+    yield {"epochs": 3}, ("--snapshot_epochs", "3:1")
+    yield {"mode": "simclr_baseline", "batch_size": 1}, ()
+    yield {"arch": "small_residual"}, ("--view_size", "28")
+    yield {"arch": "small_residual"}, ("--view_size", "32")
+
+
+# blake2b over the outcome of every corpus case: the error line, or the settings with numbers as floats
+_CONFIG_CORPUS_DIGEST = (
+    "9eacacf835e272f97676ce10c969ff8c77be8835c6a937908f39a6b7989a03fc"
+    "bec8241534ebc798a2d22831b0f3c5a25d7fbd604031483293ceb0806b96a61d"
+)
+
+
+def test_config_corpus_outcomes():
+    lines = [f"{data!r} {tokens!r} -> {_outcome(data, tokens)}" for data, tokens in _config_corpus()]
+    assert len(lines) == 21 * (2 * len(_CLI_STRINGS) + 2 * len(_JSON_VALUES)) + 8
+    assert hashlib.blake2b("\n".join(lines).encode()).hexdigest() == _CONFIG_CORPUS_DIGEST
 
 
 def tiny_run_config(tmp_path, **kw):
